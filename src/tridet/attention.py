@@ -1,16 +1,16 @@
-"""Triple-awareness detection head: level stacking, the scale / spatial /
-task attention components, their composition into dynamic blocks, and the
-final head convolutions.
+"""Triple-awareness detection head: the scale / spatial / task attention
+components, their composition into dynamic blocks, and the final head
+convolutions.
 
-Features flow as StackedFeature, a [S_L, S, C] view of a C x H x W map
-with S = H * W.  The level count S_L is 2 by self-stacking; the spatial
-attention aggregates from the first level and broadcasts its result to
-both, and recovery averages the levels so gradients reach both paths.
+Every block reads and writes one C x H x W map.  The scale attention
+derives two gates from the map's global mean and returns two views of the
+map: `base`, scaled by the first gate, which the spatial attention samples,
+and `ctx`, the mean of both gated copies, from which it predicts its
+sampling offsets and modulations.  The task attention then applies a
+channel-wise dynamic activation to the sampled map.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,96 +22,52 @@ STENCIL_K = 9
 BASE_OFFSETS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
 
 
-@dataclass
-class StackedFeature:
-    data: np.ndarray          # [S_L, S, C]
-    hw: tuple[int, int]
-
-    def __post_init__(self):
-        h, w = self.hw
-        if self.data.shape[1] != h * w:
-            raise ops.ShapeError(
-                f"S={self.data.shape[1]} does not match H*W={h * w}")
-
-    @property
-    def levels(self):
-        return self.data.shape[0]
-
-
-def _to_chw(mat, hw):
-    """[S, C] -> [C, H, W]."""
-    h, w = hw
-    return np.ascontiguousarray(mat.T).reshape(mat.shape[1], h, w)
-
-
-def _from_chw(x):
-    """[C, H, W] -> [S, C]."""
-    c = x.shape[0]
-    return np.ascontiguousarray(x.reshape(c, -1).T)
-
-
-def concat_levels(x):
-    """Stack a C x H x W feature with itself: S_L = 2, identical slices."""
-    if x.ndim != 3:
-        raise ops.ShapeError(f"concat_levels expects rank-3 input, got {x.ndim}")
-    flat = _from_chw(np.asarray(x, dtype=np.float64))
-    return StackedFeature(np.stack([flat, flat]), (x.shape[1], x.shape[2]))
-
-
-def concat_levels_backward(gdata, hw):
-    return _to_chw(gdata.sum(axis=0), hw)
-
-
-def recover(sf):
-    """Mean over the level axis, reshaped back to C x H x W."""
-    return _to_chw(sf.data.mean(axis=0), sf.hw)
-
-
-def recover_backward(sf, gy):
-    gmat = _from_chw(gy) / sf.levels
-    return np.broadcast_to(gmat[None], sf.data.shape).copy()
-
-
 class ScaleAttention(Layer):
-    """Per-level scalar gates from the (S, C)-pooled means through a linear
-    map and a hard sigmoid."""
+    """Two scalar gates from the map's global mean through a 2x2 linear map
+    and a hard sigmoid; returns (base, ctx) = (g0 x, (g0 x + g1 x) / 2).
 
-    def __init__(self, n_levels=2):
-        self.weight = Param(np.zeros((n_levels, n_levels)))
-        self.bias = Param(np.full(n_levels, 0.5))
+    Both inputs of the linear map are the same mean; the 2x2 shape keeps
+    the parameter shapes of saved weight files.
+    """
+
+    def __init__(self):
+        self.weight = Param(np.zeros((2, 2)))
+        self.bias = Param(np.full(2, 0.5))
         self._cache = None
 
-    def forward(self, sf):
-        data = sf.data
-        m = data.mean(axis=(1, 2))
-        z = self.weight.value @ m + self.bias.value
+    def _logits(self, x):
+        m = x.mean()
+        return m, self.weight.value @ np.array([m, m]) + self.bias.value
+
+    def gates(self, x):
+        return ops.hard_sigmoid(self._logits(x)[1])
+
+    def forward(self, x):
+        m, z = self._logits(x)
         g = ops.hard_sigmoid(z)
-        self._cache = (data, m, z, g)
-        return StackedFeature(data * g[:, None, None], sf.hw)
+        self._cache = (x, m, z, g)
+        base = g[0] * x
+        return base, 0.5 * (base + g[1] * x)
 
-    def backward(self, gout):
-        data, m, z, g = self._cache
-        gdata = gout.data * g[:, None, None]
-        dg = (gout.data * data).sum(axis=(1, 2))
+    def backward(self, gbase, gctx):
+        x, m, z, g = self._cache
+        # gradients w.r.t. the two gated copies g0 x and g1 x
+        g0x = gbase + 0.5 * gctx
+        g1x = 0.5 * gctx
+        dg = np.array([(g0x * x).sum(), (g1x * x).sum()])
         dz = dg * ops.activation_deriv("hard_sigmoid", z)
-        self.weight.grad += np.outer(dz, m)
+        self.weight.grad += np.outer(dz, [m, m])
         self.bias.grad += dz
-        gm = self.weight.value.T @ dz
-        count = data.shape[1] * data.shape[2]
-        gdata += gm[:, None, None] / count
-        return StackedFeature(gdata, gout.hw)
-
-    def gates(self, sf):
-        m = sf.data.mean(axis=(1, 2))
-        return ops.hard_sigmoid(self.weight.value @ m + self.bias.value)
+        gm = (self.weight.value.T @ dz).sum()
+        return g[0] * g0x + g[1] * g1x + gm / x.size
 
 
 class SpatialAttention(Layer):
-    """Sparse deformable sampling over the aggregation level.
+    """Sparse deformable sampling of `base`.
 
     Offsets (2K channels) and pre-sigmoid modulations (K channels) are
-    predicted by zero-initialized 3x3 convolutions on the recovered view;
-    per-tap weights start as a delta at the stencil center.
+    predicted by zero-initialized 3x3 convolutions on `ctx`; per-tap
+    weights start as a delta at the stencil center.
     """
 
     def __init__(self, channels, rng=None, unit_modulation=False,
@@ -136,18 +92,15 @@ class SpatialAttention(Layer):
         self.unit_modulation = unit_modulation
         self._cache = None
 
-    def forward(self, sf):
-        data = sf.data
-        h, w = sf.hw
-        base = _to_chw(data[0], sf.hw)
-        rec = _to_chw(data.mean(axis=0), sf.hw)
-        rec_off = rec[None]
-        rec_mod = rec[None]
+    def forward(self, base, ctx):
+        h, w = base.shape[1:]
+        ctx_off = ctx[None]
+        ctx_mod = ctx[None]
         if self.offset_dw is not None:
-            rec_off = self.offset_dw.forward(rec_off)
-            rec_mod = self.mod_dw.forward(rec_mod)
-        offsets = self.offset_pred.forward(rec_off)[0]
-        mod_raw = self.mod_pred.forward(rec_mod)[0]
+            ctx_off = self.offset_dw.forward(ctx_off)
+            ctx_mod = self.mod_dw.forward(ctx_mod)
+        offsets = self.offset_pred.forward(ctx_off)[0]
+        mod_raw = self.mod_pred.forward(ctx_mod)[0]
         if not np.isfinite(offsets).all():
             raise ValueError("spatial attention predicted non-finite offsets")
         if self.unit_modulation:
@@ -167,13 +120,12 @@ class SpatialAttention(Layer):
             coords.append((ys, xs))
             samples.append(s_k)
             out += wk[k] * s_k * mod[k][None]
-        self._cache = (sf, base, mod, mod_raw, coords, samples)
-        flat = _from_chw(out)
-        return StackedFeature(np.broadcast_to(flat[None], data.shape).copy(), sf.hw)
+        self._cache = (base, mod, mod_raw, coords, samples)
+        return out
 
     def backward(self, gout):
-        sf, base, mod, mod_raw, coords, samples = self._cache
-        g_sp = _to_chw(gout.data.sum(axis=0), sf.hw)
+        """Returns the gradients w.r.t. (base, ctx)."""
+        base, mod, mod_raw, coords, samples = self._cache
         wk = self.tap_weights.value
         g_base = np.zeros_like(base)
         g_off = np.zeros((2 * STENCIL_K,) + base.shape[1:])
@@ -182,9 +134,9 @@ class SpatialAttention(Layer):
         for k in range(STENCIL_K):
             ys, xs = coords[k]
             s_k = samples[k]
-            gwk[k] = float((g_sp * s_k * mod[k][None]).sum())
-            g_mod[k] = (g_sp * s_k).sum(axis=0) * wk[k]
-            g_sample = g_sp * (wk[k] * mod[k])[None]
+            gwk[k] = float((gout * s_k * mod[k][None]).sum())
+            g_mod[k] = (gout * s_k).sum(axis=0) * wk[k]
+            g_sample = gout * (wk[k] * mod[k])[None]
             gb, gys, gxs = ops.grid_sample_zero_backward(base, ys, xs, g_sample)
             g_base += gb
             g_off[2 * k] = gys
@@ -199,11 +151,7 @@ class SpatialAttention(Layer):
         if self.offset_dw is not None:
             g_off_in = self.offset_dw.backward(g_off_in)
             g_mod_in = self.mod_dw.backward(g_mod_in)
-        g_rec = g_off_in[0] + g_mod_in[0]
-        gdata = np.broadcast_to(
-            (_from_chw(g_rec) / sf.levels)[None], sf.data.shape).copy()
-        gdata[0] += _from_chw(g_base)
-        return StackedFeature(gdata, sf.hw)
+        return g_base, g_off_in[0] + g_mod_in[0]
 
 
 class TaskAttention(Layer):
@@ -216,20 +164,18 @@ class TaskAttention(Layer):
     """
 
     def __init__(self, channels, rng=None, reduction=4, lambda_a=1.0,
-                 lambda_b=0.5, coeff_override=None):
+                 lambda_b=0.5):
         hidden = max(1, channels // reduction)
         self.fc1 = Linear(channels, hidden, rng)
         self.fc2 = Linear(hidden, 4, zero_init=True)
         self.lambda_a = lambda_a
         self.lambda_b = lambda_b
-        self.coeff_override = coeff_override
         self._cache = None
 
-    def coefficients(self, data):
-        if self.coeff_override is not None:
-            return tuple(self.coeff_override), None
-        ctx = data.mean(axis=(0, 1))
-        h1 = self.fc1.forward(ctx)
+    def coefficients(self, x):
+        """(a1, b1, a2, b2) for a C x H x W map, and the hyper function's
+        intermediates for backward."""
+        h1 = self.fc1.forward(x.mean(axis=(1, 2)))
         a = ops.activation("relu", h1)
         v = self.fc2.forward(a)
         t = 2.0 * ops.hard_sigmoid(v) - 1.0
@@ -237,65 +183,58 @@ class TaskAttention(Layer):
         b1 = self.lambda_b * t[1]
         a2 = self.lambda_a * t[2]
         b2 = self.lambda_b * t[3]
-        return (a1, b1, a2, b2), (ctx, h1, v)
+        return (a1, b1, a2, b2), (h1, v)
 
-    def forward(self, sf):
-        data = sf.data
-        (a1, b1, a2, b2), inner = self.coefficients(data)
-        br1 = a1 * data + b1
-        br2 = a2 * data + b2
+    def forward(self, x):
+        (a1, b1, a2, b2), inner = self.coefficients(x)
+        br1 = a1 * x + b1
+        br2 = a2 * x + b2
         mask = br1 >= br2
-        self._cache = (sf, (a1, b1, a2, b2), inner, mask)
-        return StackedFeature(np.where(mask, br1, br2), sf.hw)
+        self._cache = (x, (a1, a2), inner, mask)
+        return np.where(mask, br1, br2)
 
-    def backward(self, gout):
-        sf, (a1, b1, a2, b2), inner, mask = self._cache
-        data = sf.data
-        g = gout.data
-        gdata = g * np.where(mask, a1, a2)
-        if inner is not None:
-            da1 = float((g * mask * data).sum())
-            db1 = float((g * mask).sum())
-            da2 = float((g * ~mask * data).sum())
-            db2 = float((g * ~mask).sum())
-            ctx, h1, v = inner
-            dt = np.array([self.lambda_a * da1, self.lambda_b * db1,
-                           self.lambda_a * da2, self.lambda_b * db2])
-            dv = dt * 2.0 * ops.activation_deriv("hard_sigmoid", v)
-            da = self.fc2.backward(dv)
-            dh1 = da * ops.activation_deriv("relu", h1)
-            dctx = self.fc1.backward(dh1)
-            count = data.shape[0] * data.shape[1]
-            gdata = gdata + dctx[None, None, :] / count
-        return StackedFeature(gdata, sf.hw)
+    def backward(self, g):
+        x, (a1, a2), (h1, v), mask = self._cache
+        da1 = float((g * mask * x).sum())
+        db1 = float((g * mask).sum())
+        da2 = float((g * ~mask * x).sum())
+        db2 = float((g * ~mask).sum())
+        dt = np.array([self.lambda_a * da1, self.lambda_b * db1,
+                       self.lambda_a * da2, self.lambda_b * db2])
+        dv = dt * 2.0 * ops.activation_deriv("hard_sigmoid", v)
+        da = self.fc2.backward(dv)
+        dh1 = da * ops.activation_deriv("relu", h1)
+        dctx = self.fc1.backward(dh1)
+        count = x.shape[1] * x.shape[2]
+        return g * np.where(mask, a1, a2) + dctx[:, None, None] / count
 
 
 class DynamicBlock(Layer):
     """Sequential composition scale -> spatial -> task attention."""
 
-    def __init__(self, channels, rng=None, n_levels=2, reduction=4,
-                 lambda_a=1.0, lambda_b=0.5, depthwise=False):
-        self.scale = ScaleAttention(n_levels)
+    def __init__(self, channels, rng=None, reduction=4, lambda_a=1.0,
+                 lambda_b=0.5, depthwise=False):
+        self.scale = ScaleAttention()
         self.spatial = SpatialAttention(channels, rng, depthwise=depthwise)
         self.task = TaskAttention(channels, rng, reduction, lambda_a, lambda_b)
 
-    def forward(self, sf):
-        return self.task.forward(self.spatial.forward(self.scale.forward(sf)))
+    def forward(self, x):
+        return self.task.forward(self.spatial.forward(*self.scale.forward(x)))
 
     def backward(self, gout):
-        return self.scale.backward(self.spatial.backward(self.task.backward(gout)))
+        return self.scale.backward(*self.spatial.backward(self.task.backward(gout)))
 
 
 class TDAHead(Layer):
-    """Concat -> dynamic blocks -> recover -> 3x3 conv + leaky ReLU -> 1x1
-    conv emitting A * (5 + num_classes) raw prediction channels."""
+    """Dynamic blocks -> 3x3 conv + leaky ReLU -> 1x1 conv emitting
+    A * (5 + num_classes) raw prediction channels."""
 
     def __init__(self, channels, n_blocks, num_classes, anchors_per_level,
                  rng=None, reduction=4, lambda_a=1.0, lambda_b=0.5,
                  depthwise=False):
         if n_blocks not in (1, 2):
             raise ValueError(f"n_blocks must be 1 or 2, got {n_blocks}")
-        self.blocks = [DynamicBlock(channels, rng, 2, reduction, lambda_a,
+        self.blocks = [DynamicBlock(channels, rng, reduction, lambda_a,
                                     lambda_b, depthwise)
                        for _ in range(n_blocks)]
         self.out_channels = anchors_per_level * (5 + num_classes)
@@ -307,15 +246,14 @@ class TDAHead(Layer):
             self.conv3_pw = None
         self.act = Activation("leaky_relu")
         self.conv1 = Conv2d(channels, self.out_channels, 1, rng)
-        self._sf = None
 
     def forward(self, x):
-        sf = concat_levels(x)
+        y = np.asarray(x, dtype=np.float64)
+        if y.ndim != 3:
+            raise ops.ShapeError(f"head expects a C x H x W map, got rank {y.ndim}")
         for blk in self.blocks:
-            sf = blk.forward(sf)
-        self._sf = sf
-        r = recover(sf)
-        y = self.conv3.forward(r[None])
+            y = blk.forward(y)
+        y = self.conv3.forward(y[None])
         if self.conv3_pw is not None:
             y = self.conv3_pw.forward(y)
         y = self.act.forward(y)
@@ -327,7 +265,6 @@ class TDAHead(Layer):
         if self.conv3_pw is not None:
             g = self.conv3_pw.backward(g)
         g = self.conv3.backward(g)[0]
-        gsf = StackedFeature(recover_backward(self._sf, g), self._sf.hw)
         for blk in reversed(self.blocks):
-            gsf = blk.backward(gsf)
-        return concat_levels_backward(gsf.data, gsf.hw)
+            g = blk.backward(g)
+        return g

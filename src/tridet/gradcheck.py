@@ -14,7 +14,7 @@ import numpy as np
 
 from . import ops
 from .attention import (DynamicBlock, ScaleAttention, SpatialAttention,
-                        StackedFeature, TaskAttention, TDAHead)
+                        TaskAttention, TDAHead)
 from .coordatt import CoordAttention
 from .postproc import (Box, LossConfig, detection_loss, diou, diou_grad,
                        focal_loss, focal_loss_grad_p)
@@ -220,44 +220,39 @@ def check_finite_diff_selftest(rng):
 # attention-head checks
 # ---------------------------------------------------------------------------
 
-def _random_stacked(rng, s_l, h, w, c):
-    return StackedFeature(rng.standard_normal((s_l, h * w, c)), (h, w))
+def _outputs(layer, inputs):
+    """Forward on copies of the inputs; a single output becomes a 1-tuple."""
+    out = layer.forward(*(x.copy() for x in inputs))
+    return out if isinstance(out, tuple) else (out,)
 
 
-def _layer_loss(layer, sf, r):
-    """Run forward, seed backward with projection r, return input grad."""
+def _check_layer(rng, layer, inputs, params):
+    """Max relative error of a layer's input and parameter gradients, on the
+    loss that projects every output on its own random array."""
+    rs = [rng.standard_normal(o.shape) for o in _outputs(layer, inputs)]
+
+    def loss(*xs):
+        return float(sum((o * r).sum() for o, r in zip(_outputs(layer, xs), rs)))
+
     layer.zero_grad()
-    out = layer.forward(StackedFeature(sf.data.copy(), sf.hw))
-    loss = float((out.data * r).sum())
-    gin = layer.backward(StackedFeature(r.copy(), sf.hw))
-    return loss, gin.data
-
-
-def _sf_fd(layer, sf, r, eps=EPS):
-    def f(data):
-        out = layer.forward(StackedFeature(data, sf.hw))
-        return float((out.data * r).sum())
-    return ops.finite_diff_grad(f, sf.data.copy(), eps)
-
-
-def _param_fd_layer(layer, sf, r, params, eps=EPS):
-    def scalar():
-        out = layer.forward(StackedFeature(sf.data.copy(), sf.hw))
-        return float((out.data * r).sum())
-    return [(_fd_param(scalar, p, eps), p) for p in params]
+    _outputs(layer, inputs)
+    gin = layer.backward(*(r.copy() for r in rs))
+    gin = gin if isinstance(gin, tuple) else (gin,)
+    errs = []
+    for i, (g, x) in enumerate(zip(gin, inputs)):
+        fd = _fd_wrt(lambda v, i=i: loss(*inputs[:i], v, *inputs[i + 1:]),
+                     x.copy())
+        errs.append(_err(g, fd))
+    errs += [_err(p.grad, _fd_param(lambda: loss(*inputs), p)) for p in params]
+    return max(errs)
 
 
 def check_scale_attention(rng):
-    sf = _random_stacked(rng, 2, 3, 4, 6)
-    layer = ScaleAttention(2)
+    x = rng.standard_normal((6, 3, 4))
+    layer = ScaleAttention()
     layer.weight.value = rng.uniform(-0.3, 0.3, (2, 2))
     layer.bias.value = rng.uniform(-0.3, 0.3, 2)
-    r = rng.standard_normal(sf.data.shape)
-    _, gin = _layer_loss(layer, sf, r)
-    errs = [_err(gin, _sf_fd(layer, sf, r))]
-    for fd, p in _param_fd_layer(layer, sf, r, [layer.weight, layer.bias]):
-        errs.append(_err(p.grad, fd))
-    return max(errs)
+    return _check_layer(rng, layer, (x,), [layer.weight, layer.bias])
 
 
 def _spatial_layer(rng, c):
@@ -273,50 +268,47 @@ def _spatial_layer(rng, c):
 
 
 def check_spatial_attention(rng):
-    sf = _random_stacked(rng, 2, 4, 4, 3)
+    base = rng.standard_normal((3, 4, 4))
+    ctx = rng.standard_normal((3, 4, 4))
     layer = _spatial_layer(rng, 3)
-    r = rng.standard_normal(sf.data.shape)
-    _, gin = _layer_loss(layer, sf, r)
-    errs = [_err(gin, _sf_fd(layer, sf, r))]
     params = [layer.offset_pred.weight, layer.offset_pred.bias,
               layer.mod_pred.weight, layer.mod_pred.bias, layer.tap_weights]
-    for fd, p in _param_fd_layer(layer, sf, r, params):
-        errs.append(_err(p.grad, fd))
-    return max(errs)
+    return _check_layer(rng, layer, (base, ctx), params)
 
 
 def check_task_attention(rng):
-    sf = _random_stacked(rng, 2, 2, 4, 4)
+    x = rng.standard_normal((4, 2, 4))
     layer = TaskAttention(4, reduction=2)
     layer.fc1.weight.value = rng.uniform(-0.5, 0.5, layer.fc1.weight.value.shape)
     layer.fc1.bias.value = rng.uniform(0.1, 0.5, layer.fc1.bias.value.shape)
     layer.fc2.weight.value = rng.uniform(-0.4, 0.4, layer.fc2.weight.value.shape)
     layer.fc2.bias.value = rng.uniform(-0.3, 0.3, 4)
-    r = rng.standard_normal(sf.data.shape)
-    _, gin = _layer_loss(layer, sf, r)
-    errs = [_err(gin, _sf_fd(layer, sf, r))]
     params = [layer.fc1.weight, layer.fc1.bias, layer.fc2.weight, layer.fc2.bias]
-    for fd, p in _param_fd_layer(layer, sf, r, params):
-        errs.append(_err(p.grad, fd))
-    return max(errs)
+    return _check_layer(rng, layer, (x,), params)
+
+
+def _dyrelu_gap(blk, x):
+    """Smallest gap between the two DY-ReLU branches of a block's output."""
+    y = blk.spatial.forward(*blk.scale.forward(x))
+    (a1, b1, a2, b2), _ = blk.task.coefficients(y)
+    return np.abs((a1 - a2) * y + b1 - b2).min()
 
 
 def check_dynamic_block(rng):
-    sf = _random_stacked(rng, 2, 4, 4, 4)
     blk = DynamicBlock(4, np.random.default_rng(rng.integers(1 << 31)), reduction=2)
     blk.scale.weight.value = rng.uniform(-0.2, 0.2, (2, 2))
     blk.spatial.offset_pred.bias.value = rng.uniform(0.2, 0.4, 18)
     blk.spatial.tap_weights.value = rng.uniform(-0.5, 0.5, 9)
     blk.task.fc2.weight.value = rng.uniform(-0.3, 0.3, blk.task.fc2.weight.value.shape)
-    r = rng.standard_normal(sf.data.shape)
-    _, gin = _layer_loss(blk, sf, r)
-    errs = [_err(gin, _sf_fd(blk, sf, r))]
+    # redraw an input whose output lies on the DY-ReLU kink: central
+    # differences there straddle both branches
+    x = rng.standard_normal((4, 4, 4))
+    while _dyrelu_gap(blk, x) < 1e-3:
+        x = rng.standard_normal((4, 4, 4))
     params = [blk.scale.weight, blk.scale.bias, blk.spatial.offset_pred.weight,
               blk.spatial.mod_pred.weight, blk.spatial.tap_weights,
               blk.task.fc1.weight, blk.task.fc2.weight]
-    for fd, p in _param_fd_layer(blk, sf, r, params):
-        errs.append(_err(p.grad, fd))
-    return max(errs)
+    return _check_layer(rng, blk, (x,), params)
 
 
 def check_tda_head(rng):
@@ -333,7 +325,7 @@ def check_tda_head(rng):
         return float((head.forward(x) * r).sum())
 
     head.zero_grad()
-    out = head.forward(x)
+    head.forward(x)
     gx = head.backward(r)
     errs = [_err(gx, ops.finite_diff_grad(
         lambda v: float((head.forward(v) * r).sum()), x.copy()))]

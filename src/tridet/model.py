@@ -40,6 +40,11 @@ class Model(Layer):
 
     def forward(self, image):
         """image [3, H, W] -> list of raw prediction maps, one per level."""
+        bad = ~np.isfinite(image)
+        if bad.any():
+            first = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"input image has {int(bad.sum())} non-finite "
+                             f"pixel value(s), the first at index {first}")
         fp = self.backbone.forward(image)
         pyr = self.neck.forward(fp)
         raws = [head.forward(p[0]) for head, p in zip(self.heads, pyr)]

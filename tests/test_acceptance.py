@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 
 from tridet import cli, gradcheck, ops
 from tridet.attention import (BASE_OFFSETS, ScaleAttention, SpatialAttention,
-                              StackedFeature, TaskAttention)
+                              TaskAttention)
 from tridet.augment import BoxLabel, LabeledImage, mixup, mosaic, rng_from_seed
 from tridet.config import ModelConfig, serialize_config
 from tridet.coordatt import CoordAttention
@@ -48,14 +48,10 @@ class TestCriterion2OracleEquivalences:
         for trial in range(10):
             c, h, w = rng.integers(1, 5), rng.integers(4, 9), rng.integers(4, 9)
             x = rng.standard_normal((c, h, w))
-            sf = StackedFeature(
-                np.stack([np.ascontiguousarray(x.reshape(c, -1).T)] * 2),
-                (h, w))
             layer = SpatialAttention(c, unit_modulation=True)
             taps = rng.uniform(-1.0, 1.0, 9)
             layer.tap_weights.value = taps.copy()
-            out = layer.forward(sf)
-            got = np.ascontiguousarray(out.data[0].T).reshape(c, h, w)
+            got = layer.forward(x, x)
             kernel = np.zeros((c, c, 3, 3))
             for ch in range(c):
                 for k, (dy, dx) in enumerate(BASE_OFFSETS):
@@ -65,9 +61,9 @@ class TestCriterion2OracleEquivalences:
 
     def test_task_attention_default_equals_relu_exactly(self):
         rng = np.random.default_rng(1)
-        sf = StackedFeature(rng.standard_normal((2, 20, 6)), (4, 5))
-        out = TaskAttention(6).forward(sf)
-        assert (out.data == np.maximum(sf.data, 0.0)).all()
+        x = rng.standard_normal((6, 4, 5))
+        out = TaskAttention(6).forward(x)
+        assert (out == np.maximum(x, 0.0)).all()
 
     def test_coord_attention_zero_parameters_scale_by_quarter(self):
         rng = np.random.default_rng(2)
@@ -79,19 +75,21 @@ class TestCriterion2OracleEquivalences:
 
     def test_scale_gate_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(3)
-        sf = StackedFeature(rng.standard_normal((2, 12, 6)), (3, 4))
-        layer = ScaleAttention(2)
+        x = rng.standard_normal((6, 3, 4))
+        layer = ScaleAttention()
         layer.weight.value = rng.uniform(-0.5, 0.5, (2, 2))
         layer.bias.value = rng.uniform(-0.5, 0.5, 2)
-        gates = layer.gates(sf)
+        gates = layer.gates(x)
         for l in range(2):
             z = layer.bias.value[l]
-            # one gate mixes both level means through the linear map
+            # each gate mixes both inputs of the linear map, which are
+            # the mean of the single map
             for m in range(2):
                 acc_m = 0.0
-                for s in range(12):
-                    for c in range(6):
-                        acc_m += sf.data[m, s, c]
+                for c in range(6):
+                    for i in range(3):
+                        for j in range(4):
+                            acc_m += x[c, i, j]
                 z += layer.weight.value[l, m] * acc_m / 72.0
             expect = max(0.0, min(1.0, (z + 1.0) / 2.0))
             assert_allclose(gates[l], expect, atol=1e-14)

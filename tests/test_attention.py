@@ -1,5 +1,5 @@
-"""Triple-awareness head: stacking/recovery round trips, the three
-attention components against their oracles, and block composition."""
+"""Triple-awareness head: the three attention components against their
+oracles, and block composition, all on one C x H x W map."""
 
 import numpy as np
 import pytest
@@ -7,106 +7,79 @@ from numpy.testing import assert_allclose
 
 from tridet import ops
 from tridet.attention import (BASE_OFFSETS, STENCIL_K, DynamicBlock,
-                              ScaleAttention, SpatialAttention, StackedFeature,
-                              TaskAttention, TDAHead, concat_levels, recover)
-
-
-def random_stacked(rng, h, w, c, s_l=2):
-    return StackedFeature(rng.standard_normal((s_l, h * w, c)), (h, w))
-
-
-class TestStacking:
-    def test_concat_levels_duplicates(self):
-        x = np.random.default_rng(0).standard_normal((8, 4, 4))
-        sf = concat_levels(x)
-        assert sf.data.shape == (2, 16, 8)
-        assert_allclose(sf.data[0], sf.data[1])
-
-    def test_recover_round_trip(self):
-        x = np.random.default_rng(1).standard_normal((8, 4, 4))
-        assert_allclose(recover(concat_levels(x)), x)
-
-    def test_recover_averages_levels(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((12, 3))
-        b = rng.standard_normal((12, 3))
-        sf = StackedFeature(np.stack([a, b]), (3, 4))
-        rec = recover(sf)
-        expect = recover(StackedFeature(((a + b) / 2)[None], (3, 4)))
-        assert_allclose(rec, expect)
-
-    def test_inconsistent_hw_rejected(self):
-        with pytest.raises(ops.ShapeError):
-            StackedFeature(np.zeros((2, 10, 3)), (3, 4))
+                              ScaleAttention, SpatialAttention, TaskAttention,
+                              TDAHead)
 
 
 class TestScaleAttention:
     def test_zero_parameters_halve(self):
-        sf = random_stacked(np.random.default_rng(3), 3, 4, 5)
-        layer = ScaleAttention(2)
+        x = np.random.default_rng(3).standard_normal((5, 3, 4))
+        layer = ScaleAttention()
         layer.weight.value[:] = 0.0
         layer.bias.value[:] = 0.0
-        out = layer.forward(sf)
-        assert_allclose(out.data, 0.5 * sf.data)
+        base, ctx = layer.forward(x)
+        assert_allclose(base, 0.5 * x)
+        assert_allclose(ctx, 0.5 * x)
 
     def test_saturated_gates_identity(self):
-        sf = random_stacked(np.random.default_rng(4), 3, 4, 5)
-        layer = ScaleAttention(2)
+        x = np.random.default_rng(4).standard_normal((5, 3, 4))
+        layer = ScaleAttention()
         layer.weight.value = np.eye(2)
         layer.bias.value[:] = 50.0
-        out = layer.forward(sf)
-        assert_allclose(out.data, sf.data)
-        assert_allclose(layer.gates(sf), 1.0)
+        base, ctx = layer.forward(x)
+        assert_allclose(base, x)
+        assert_allclose(ctx, x)
+        assert_allclose(layer.gates(x), 1.0)
 
     def test_matches_naive_loop_on_2x12x6(self):
         rng = np.random.default_rng(5)
-        sf = StackedFeature(rng.standard_normal((2, 12, 6)), (3, 4))
-        layer = ScaleAttention(2)
+        x = rng.standard_normal((2, 12, 6))
+        layer = ScaleAttention()
         layer.weight.value = rng.uniform(-0.5, 0.5, (2, 2))
         layer.bias.value = rng.uniform(-0.5, 0.5, 2)
-        out = layer.forward(sf)
+        base, ctx = layer.forward(x)
         # independent naive recomputation
-        means = np.zeros(2)
+        acc = 0.0
+        for c in range(2):
+            for i in range(12):
+                for j in range(6):
+                    acc += x[c, i, j]
+        mean = acc / (2 * 12 * 6)
+        gates = []
         for l in range(2):
-            acc = 0.0
-            for s in range(12):
-                for c in range(6):
-                    acc += sf.data[l, s, c]
-            means[l] = acc / (12 * 6)
-        for l in range(2):
-            z = sum(layer.weight.value[l, m] * means[m] for m in range(2)) \
+            z = sum(layer.weight.value[l, m] * mean for m in range(2)) \
                 + layer.bias.value[l]
-            g = max(0.0, min(1.0, (z + 1.0) / 2.0))
-            assert_allclose(out.data[l], g * sf.data[l])
+            gates.append(max(0.0, min(1.0, (z + 1.0) / 2.0)))
+        assert_allclose(base, gates[0] * x)
+        assert_allclose(ctx, 0.5 * (gates[0] + gates[1]) * x)
 
     def test_gates_in_unit_interval(self):
         rng = np.random.default_rng(6)
-        layer = ScaleAttention(2)
+        layer = ScaleAttention()
         layer.weight.value = rng.standard_normal((2, 2)) * 5
         layer.bias.value = rng.standard_normal(2) * 5
         for _ in range(10):
-            g = layer.gates(random_stacked(rng, 2, 2, 4))
+            g = layer.gates(rng.standard_normal((4, 2, 2)))
             assert (g >= 0.0).all() and (g <= 1.0).all()
 
 
 class TestSpatialAttention:
     def test_default_parameters_identity(self):
         # zero offsets, unit modulation, delta-at-center taps
-        sf = random_stacked(np.random.default_rng(7), 4, 4, 3)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, 4, 4))
         layer = SpatialAttention(3, unit_modulation=True)
-        out = layer.forward(sf)
-        assert_allclose(out.data[0], sf.data[0], atol=1e-12)
-        assert_allclose(out.data[1], sf.data[0], atol=1e-12)
+        assert_allclose(layer.forward(x, x), x, atol=1e-12)
+        # the context only steers offsets and modulations
+        assert_allclose(layer.forward(x, rng.standard_normal(x.shape)), x,
+                        atol=1e-12)
 
     def test_box_filter_equals_conv2d(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 8, 8))
-        sf = StackedFeature(
-            np.stack([np.ascontiguousarray(x.reshape(4, -1).T)] * 2), (8, 8))
         layer = SpatialAttention(4, unit_modulation=True)
         layer.tap_weights.value[:] = 1.0 / 9.0
-        out = layer.forward(sf)
-        got = np.ascontiguousarray(out.data[0].T).reshape(4, 8, 8)
+        got = layer.forward(x, x)
         kernel = np.zeros((4, 4, 3, 3))
         for c in range(4):
             kernel[c, c] = 1.0 / 9.0
@@ -114,21 +87,19 @@ class TestSpatialAttention:
         assert np.abs(got - ref).max() < 1e-10
 
     def test_constant_half_offset_samples_midpoint(self):
-        patch = np.array([[1.0, 2.0], [3.0, 4.0]])
-        sf = concat_levels(patch[None])
+        patch = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         layer = SpatialAttention(1, unit_modulation=True)
         layer.offset_pred.bias.value[2 * 4] = 0.5      # center tap dy
         layer.offset_pred.bias.value[2 * 4 + 1] = 0.5  # center tap dx
-        out = layer.forward(sf)
-        got = np.ascontiguousarray(out.data[0].T).reshape(1, 2, 2)
+        got = layer.forward(patch, patch)
         assert_allclose(got[0, 0, 0], 2.5)
 
     def test_nonfinite_offsets_rejected(self):
-        sf = random_stacked(np.random.default_rng(9), 3, 3, 2)
+        x = np.random.default_rng(9).standard_normal((2, 3, 3))
         layer = SpatialAttention(2)
         layer.offset_pred.bias.value[0] = np.nan
         with pytest.raises(ValueError):
-            layer.forward(sf)
+            layer.forward(x, x)
 
     def test_stencil_layout(self):
         assert STENCIL_K == 9
@@ -138,27 +109,29 @@ class TestSpatialAttention:
 
 class TestTaskAttention:
     def test_default_coefficients_equal_relu(self):
-        sf = random_stacked(np.random.default_rng(10), 2, 4, 4)
-        layer = TaskAttention(4)
-        out = layer.forward(sf)
-        assert (out.data == np.maximum(sf.data, 0.0)).all()
+        x = np.random.default_rng(10).standard_normal((4, 2, 4))
+        out = TaskAttention(4).forward(x)
+        assert (out == np.maximum(x, 0.0)).all()
 
     def test_identity_coefficients(self):
-        sf = random_stacked(np.random.default_rng(11), 2, 4, 4)
-        layer = TaskAttention(4, coeff_override=(1.0, 0.0, 1.0, 0.0))
-        out = layer.forward(sf)
-        assert_allclose(out.data, sf.data)
+        x = np.random.default_rng(11).standard_normal((4, 2, 4))
+        layer = TaskAttention(4)
+        # t = 2 * hard_sigmoid(v) - 1 = (0, 0, 1, 0): a1 = a2 = 1, b1 = b2 = 0
+        layer.fc2.weight.value[:] = 0.0
+        layer.fc2.bias.value = np.array([0.0, 0.0, 1.0, 0.0])
+        assert layer.coefficients(x)[0] == (1.0, 0.0, 1.0, 0.0)
+        assert (layer.forward(x) == x).all()
 
     def test_output_dominates_both_branches(self):
         rng = np.random.default_rng(12)
-        sf = random_stacked(rng, 2, 4, 4)
+        x = rng.standard_normal((4, 2, 4))
         layer = TaskAttention(4, rng=rng)
         layer.fc2.weight.value = rng.uniform(-0.5, 0.5,
                                              layer.fc2.weight.value.shape)
-        (a1, b1, a2, b2), _ = layer.coefficients(sf.data)
-        out = layer.forward(sf)
-        assert (out.data >= a1 * sf.data + b1 - 1e-12).all()
-        assert (out.data >= a2 * sf.data + b2 - 1e-12).all()
+        (a1, b1, a2, b2), _ = layer.coefficients(x)
+        out = layer.forward(x)
+        assert (out >= a1 * x + b1 - 1e-12).all()
+        assert (out >= a2 * x + b2 - 1e-12).all()
 
     def test_coefficient_ranges(self):
         rng = np.random.default_rng(13)
@@ -167,7 +140,7 @@ class TestTaskAttention:
             layer.fc2.weight.value.shape) * 10
         for _ in range(10):
             (a1, b1, a2, b2), _ = layer.coefficients(
-                rng.standard_normal((2, 8, 4)))
+                rng.standard_normal((4, 2, 8)))
             assert 0.0 <= a1 <= 2.0
             assert -0.5 <= b1 <= 0.5
             assert -1.0 <= a2 <= 1.0
@@ -175,36 +148,33 @@ class TestTaskAttention:
 
     def test_gradcheck_on_2x8x4(self):
         rng = np.random.default_rng(14)
-        sf = StackedFeature(rng.standard_normal((2, 8, 4)), (2, 4))
-        layer = TaskAttention(4, rng=rng, reduction=2)
+        x = rng.standard_normal((2, 8, 4))
+        layer = TaskAttention(2, rng=rng, reduction=2)
         layer.fc2.weight.value = rng.uniform(-0.4, 0.4,
                                              layer.fc2.weight.value.shape)
-        r = rng.standard_normal(sf.data.shape)
-        layer.forward(sf)
-        gin = layer.backward(StackedFeature(r, sf.hw))
+        r = rng.standard_normal(x.shape)
+        layer.forward(x)
+        gin = layer.backward(r)
         fd = ops.finite_diff_grad(
-            lambda v: float((layer.forward(StackedFeature(v, sf.hw)).data * r).sum()),
-            sf.data.copy())
-        assert ops.relative_error(gin.data, fd) < 1e-5
+            lambda v: float((layer.forward(v) * r).sum()), x.copy())
+        assert ops.relative_error(gin, fd) < 1e-5
 
 
 class TestDynamicBlock:
     def test_equals_explicit_composition(self):
-        rng = np.random.default_rng(15)
-        sf = random_stacked(rng, 4, 4, 4)
+        x = np.random.default_rng(15).standard_normal((4, 4, 4))
         blk = DynamicBlock(4, np.random.default_rng(99))
-        direct = blk.forward(StackedFeature(sf.data.copy(), sf.hw))
-        step = blk.task.forward(blk.spatial.forward(blk.scale.forward(
-            StackedFeature(sf.data.copy(), sf.hw))))
-        assert_allclose(direct.data, step.data)
+        direct = blk.forward(x.copy())
+        step = blk.task.forward(blk.spatial.forward(
+            *blk.scale.forward(x.copy())))
+        assert_allclose(direct, step)
 
     def test_shape_preservation(self):
         rng = np.random.default_rng(16)
         for h, w, c in ((3, 5, 4), (4, 4, 8), (6, 3, 2)):
-            sf = random_stacked(rng, h, w, c)
-            out = DynamicBlock(c, np.random.default_rng(0)).forward(sf)
-            assert out.data.shape == sf.data.shape
-            assert out.hw == sf.hw
+            x = rng.standard_normal((c, h, w))
+            out = DynamicBlock(c, np.random.default_rng(0)).forward(x)
+            assert out.shape == x.shape
 
 
 class TestTDAHead:
@@ -222,6 +192,11 @@ class TestTDAHead:
     def test_invalid_block_count_rejected(self):
         with pytest.raises(ValueError):
             TDAHead(8, 3, 2, 3, np.random.default_rng(19))
+
+    def test_non_map_input_rejected(self):
+        head = TDAHead(4, 1, 2, 1, np.random.default_rng(19))
+        with pytest.raises(ops.ShapeError):
+            head.forward(np.zeros((1, 4, 4, 4)))
 
     def test_zero_parameters_give_bias_map(self):
         head = TDAHead(4, 2, 2, 1, np.random.default_rng(20))

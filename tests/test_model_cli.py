@@ -186,6 +186,24 @@ class TestCli:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    def test_run_nonfinite_image_one_line_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        cfg = toy_cfg()
+        img = np.random.default_rng(5).random((3, 64, 64))
+        img[1, 5, 7] = np.nan
+        msg = ("input image has 1 non-finite pixel value(s), "
+               "the first at index (1, 5, 7)")
+        with pytest.raises(ValueError) as exc:
+            run_inference(build_model(cfg), cfg, img)
+        assert str(exc.value) == msg
+        # a P6 file cannot hold NaN, so the reader is replaced
+        monkeypatch.setattr(cli, "read_ppm", lambda path: img)
+        rc = cli.main(["run", self._write_cfg(tmp_path, cfg),
+                       self._zero_weights(tmp_path, cfg),
+                       str(tmp_path / "nan.ppm")])
+        assert rc != 0
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
     def test_gradcheck_command(self, capsys):
         assert cli.main(["gradcheck", "--module", "tensor-core",
                          "--seeds", "2"]) == 0
