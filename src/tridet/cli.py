@@ -29,11 +29,7 @@ def cmd_run(args):
     cfg = _load_cfg(args.config)
     model = build_model(cfg)
     load_weights(model, args.weights)
-    image = read_ppm(args.image)
-    h, w = image.shape[1:]
-    if h % 32 or w % 32:
-        raise ValueError(f"image extents {w}x{h} must be divisible by 32")
-    dets = run_inference(model, cfg, image)
+    dets = run_inference(model, cfg, read_ppm(args.image))
     for det in dets:
         print(format_detection(args.image, det))
     if args.dump_features:

@@ -18,10 +18,15 @@ _DEFAULT_ANCHORS = (
 )
 
 STRIDES = (8, 16, 32)
+ANCHOR_KEYS = ("anchors.p3", "anchors.p4", "anchors.p5")
 
 
 class ConfigError(ValueError):
-    pass
+    """A bad config value; `key` names the config key when there is one."""
+
+    def __init__(self, msg, key=None):
+        super().__init__(msg)
+        self.key = key
 
 
 @dataclass
@@ -66,24 +71,36 @@ class ModelConfig:
         return tuple(w // 2 for w in self.widths)
 
     def validate(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if len(self.widths) != 3 or any(w < 2 for w in self.widths):
-            raise ConfigError(f"widths must be three extents >= 2, got {self.widths}")
+        def check(ok, key, msg):
+            if not ok:
+                raise ConfigError(f"bad value for {key}: {msg}", key)
+
+        check(self.variant in VARIANTS, "model.variant",
+              f"unknown variant {self.variant!r}")
+        check(self.num_classes >= 1, "model.num_classes",
+              f"{self.num_classes} is below 1")
+        check(len(self.widths) == 3 and all(w >= 2 for w in self.widths),
+              "model.widths", f"need three extents >= 2, got {self.widths}")
+        check(self.ca_ratio >= 1, "attention.ca_ratio", f"{self.ca_ratio} is below 1")
         for w in self.widths:
-            if w % self.ca_ratio:
-                raise ConfigError(
-                    f"width {w} not divisible by attention ratio {self.ca_ratio}")
-        for level in self.anchors:
+            check(w % self.ca_ratio == 0, "attention.ca_ratio",
+                  f"{self.ca_ratio} does not divide width {w}")
+        check(self.dyrelu_reduction >= 1, "attention.dyrelu_reduction",
+              f"{self.dyrelu_reduction} is below 1")
+        counts = [len(level) for level in self.anchors]
+        # blame the level whose anchor count is the odd one out
+        odd = min(range(len(counts)), key=lambda i: counts.count(counts[i]))
+        check(len(set(counts)) == 1, ANCHOR_KEYS[odd],
+              f"{counts[odd]} anchors, but the levels p3/p4/p5 need equal "
+              f"counts, got {counts}")
+        for key, level in zip(ANCHOR_KEYS, self.anchors):
             for aw, ah in level:
-                if aw <= 0 or ah <= 0:
-                    raise ConfigError(f"non-positive anchor extent ({aw}, {ah})")
-        for name in ("conf_threshold", "nms_threshold"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name}={v} outside [0, 1]")
-        if not 0.0 <= self.smooth_eps < 1.0:
-            raise ConfigError(f"smooth_eps={self.smooth_eps} outside [0, 1)")
+                check(aw > 0 and ah > 0, key, f"non-positive anchor extent ({aw}, {ah})")
+        for key in ("conf_threshold", "nms_threshold"):
+            v = getattr(self, key)
+            check(0.0 <= v <= 1.0, f"detect.{key}", f"{v} outside [0, 1]")
+        check(0.0 <= self.smooth_eps < 1.0, "loss.smooth_eps",
+              f"{self.smooth_eps} outside [0, 1)")
         return self
 
     @classmethod
@@ -101,9 +118,17 @@ def _fmt_anchors(level):
 def _parse_anchors(text):
     out = []
     for tok in text.split(","):
-        aw, _, ah = tok.partition("x")
+        aw, sep, ah = tok.partition("x")
+        if not sep:
+            raise ValueError(f"anchor {tok.strip()!r} is not of the form WxH")
         out.append((float(aw), float(ah)))
     return tuple(out)
+
+
+def _parse_bool(text):
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
 
 
 def serialize_config(cfg: ModelConfig) -> str:
@@ -125,10 +150,8 @@ def serialize_config(cfg: ModelConfig) -> str:
         f"attention.dyrelu_reduction = {cfg.dyrelu_reduction}",
         f"attention.lambda_a = {cfg.lambda_a:g}",
         f"attention.lambda_b = {cfg.lambda_b:g}",
-        f"anchors.p3 = {_fmt_anchors(cfg.anchors[0])}",
-        f"anchors.p4 = {_fmt_anchors(cfg.anchors[1])}",
-        f"anchors.p5 = {_fmt_anchors(cfg.anchors[2])}",
-    ]
+    ] + [f"{key} = {_fmt_anchors(level)}"
+         for key, level in zip(ANCHOR_KEYS, cfg.anchors)]
     return "\n".join(lines) + "\n"
 
 
@@ -137,7 +160,7 @@ _SETTERS = {
     "model.num_classes": ("num_classes", int),
     "model.widths": ("widths", lambda s: tuple(int(t) for t in s.split(","))),
     "model.seed": ("seed", int),
-    "model.csp": ("csp_enabled", lambda s: s.lower() == "true"),
+    "model.csp": ("csp_enabled", _parse_bool),
     "detect.conf_threshold": ("conf_threshold", float),
     "detect.nms_threshold": ("nms_threshold", float),
     "loss.alpha": ("alpha", float),
@@ -156,6 +179,7 @@ _SETTERS = {
 def parse_config(text: str) -> ModelConfig:
     cfg = ModelConfig()
     anchors = list(cfg.anchors)
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -163,18 +187,27 @@ def parse_config(text: str) -> ModelConfig:
         key, sep, value = (t.strip() for t in line.partition("="))
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key in _SETTERS:
-            attr, conv = _SETTERS[key]
-            try:
-                setattr(cfg, attr, conv(value))
-            except ValueError as e:
-                raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
-        elif key in ("anchors.p3", "anchors.p4", "anchors.p5"):
-            anchors[int(key[-1]) - 3] = _parse_anchors(value)
-        else:
+        if key not in _SETTERS and key not in ANCHOR_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}, "
+                              f"first set on line {lines[key]}", key)
+        lines[key] = lineno
+        try:
+            if key in ANCHOR_KEYS:
+                anchors[ANCHOR_KEYS.index(key)] = _parse_anchors(value)
+            else:
+                attr, conv = _SETTERS[key]
+                setattr(cfg, attr, conv(value))
+        except ValueError as e:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {e}", key) from e
     cfg.anchors = tuple(anchors)
-    return cfg.validate()
+    try:
+        return cfg.validate()
+    except ConfigError as e:
+        if e.key not in lines:
+            raise
+        raise ConfigError(f"line {lines[e.key]}: {e}", e.key) from None
 
 
 def load_config(path) -> ModelConfig:

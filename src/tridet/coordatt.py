@@ -10,11 +10,6 @@ from . import ops
 from .layers import BatchNorm2d, Conv2d, Layer
 
 
-def coord_embed(x):
-    """Direction-aware means: q_h [N,C,H,1] and q_w [N,C,1,W]."""
-    return ops.directional_pool(x)
-
-
 def coord_apply(x, g_h, g_w):
     """y_c(i,j) = x_c(i,j) * g_h(c,i) * g_w(c,j)."""
     return x * g_h * g_w
@@ -57,7 +52,7 @@ class CoordAttention(Layer):
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        q_h, q_w = coord_embed(x)
+        q_h, q_w = ops.directional_pool(x)
         g_h, g_w, inner = self.generate(q_h, q_w)
         self._cache = (x, g_h, g_w, inner)
         return coord_apply(x, g_h, g_w)

@@ -160,19 +160,6 @@ class BatchNorm2d(Layer):
         return gx
 
 
-class MaxPool(Layer):
-    def __init__(self, k):
-        self.k = k
-        self._x = None
-
-    def forward(self, x):
-        self._x = np.asarray(x, dtype=np.float64)
-        return ops.max_pool2d(self._x, self.k)
-
-    def backward(self, gy):
-        return ops.max_pool2d_backward(self._x, self.k, gy)
-
-
 class UpsampleNearest2x(Layer):
     def forward(self, x):
         return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)

@@ -129,7 +129,10 @@ def load_weights(model: Model, path):
             manifest.append((name, dtype, shape, nbytes))
     except struct.error as e:
         raise WeightFileError(f"truncated manifest at byte {off}: {e}") from e
+    names = [m[0] for m in manifest]
     for name, dtype, shape, nbytes in manifest:
+        if names.count(name) > 1:
+            raise WeightFileError(f"duplicate tensor name {name!r} in manifest")
         if name not in known:
             raise WeightFileError(f"unknown tensor name {name!r} in manifest")
         if dtype != 0:
@@ -142,15 +145,23 @@ def load_weights(model: Model, path):
             raise WeightFileError(
                 f"manifest byte length {nbytes} for {name!r} does not match "
                 f"shape {tuple(shape)}")
-    missing = set(known) - {m[0] for m in manifest}
+    missing = set(known) - set(names)
     if missing:
         raise WeightFileError(f"manifest is missing tensors: {sorted(missing)}")
+    # read every payload before assigning any, so a bad file leaves the
+    # model untouched
+    staged = []
     for name, _, shape, nbytes in manifest:
         if off + nbytes > len(data):
             raise WeightFileError(
                 f"truncated payload for {name!r} at byte {off}")
         arr = np.frombuffer(data[off: off + nbytes], dtype="<f4").reshape(shape)
-        known[name].value = arr.astype(np.float64)
-        known[name].grad = np.zeros_like(known[name].value)
+        staged.append((known[name], arr.astype(np.float64)))
         off += nbytes
+    if off != len(data):
+        raise WeightFileError(
+            f"{len(data) - off} trailing bytes after the last payload at byte {off}")
+    for p, value in staged:
+        p.value = value
+        p.grad = np.zeros_like(value)
     return model

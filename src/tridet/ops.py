@@ -192,27 +192,6 @@ def max_pool2d_backward(x, k, gy):
     return gx
 
 
-def global_avg_pool(x, axes, keepdims=True):
-    """Mean over the named axes; gradient is 1/count broadcast."""
-    x = _as_f64(x)
-    axes = tuple(axes)
-    if not axes:
-        raise ShapeError("global_avg_pool needs a non-empty axis set")
-    if any(a >= x.ndim or a < -x.ndim for a in axes):
-        raise ShapeError(f"axis out of range for rank-{x.ndim} input: {axes}")
-    return x.mean(axis=axes, keepdims=keepdims)
-
-
-def global_avg_pool_backward(x, axes, gy, keepdims=True):
-    x = _as_f64(x)
-    axes = tuple(a % x.ndim for a in axes)
-    count = int(np.prod([x.shape[a] for a in axes]))
-    gy = _as_f64(gy)
-    if not keepdims:
-        gy = np.expand_dims(gy, axes)
-    return np.broadcast_to(gy / count, x.shape).copy()
-
-
 def directional_pool(x):
     """Per-direction means: q_h [N,C,H,1] over width, q_w [N,C,1,W] over height."""
     x = _as_f64(x)
@@ -305,25 +284,6 @@ def grid_sample_zero_backward(plane, ys, xs, gout):
         g_ys += gsum * dwdy
         g_xs += gsum * dwdx
     return g_plane, g_ys, g_xs
-
-
-def bilinear_sample(x, n, c, py, px):
-    """Single bilinear sample of x[n, c] at real coordinates (py, px)."""
-    x = _as_f64(x)
-    if not (np.isfinite(py) and np.isfinite(px)):
-        raise ValueError("bilinear_sample got non-finite coordinates")
-    out = grid_sample_zero(x[n, c][None], np.array([py]), np.array([px]))
-    return float(out[0, 0])
-
-
-def bilinear_sample_backward(x, n, c, py, px, gout=1.0):
-    """Gradients of bilinear_sample w.r.t. the sampled plane and (py, px)."""
-    x = _as_f64(x)
-    g_plane, g_ys, g_xs = grid_sample_zero_backward(
-        x[n, c][None], np.array([py]), np.array([px]), np.array([[gout]]))
-    gx = np.zeros_like(x)
-    gx[n, c] = g_plane[0]
-    return gx, float(g_ys[0]), float(g_xs[0])
 
 
 # ---------------------------------------------------------------------------

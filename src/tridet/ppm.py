@@ -47,6 +47,8 @@ def read_ppm(path):
             raise ImageFormatError(f"non-numeric header token {tok!r} "
                                    f"near byte {off}") from None
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise ImageFormatError(f"non-positive image extent {w}x{h} in header")
     if maxval != 255:
         raise ImageFormatError(f"unsupported maxval {maxval} (only 255)")
     off += 1  # single whitespace byte after maxval

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tridet import cli
 from tridet.config import (ConfigError, ModelConfig, load_config,
                            parse_config, serialize_config)
 from tridet.ppm import ImageFormatError, read_ppm, write_pgm, write_ppm
@@ -64,6 +65,58 @@ class TestConfig:
         assert load_config(path).variant == "nano"
 
 
+_DEFAULT_TEXT = serialize_config(ModelConfig.default())
+
+# case -> (config text, key the error must name, line it must name)
+BAD_CONFIGS = {
+    "zero_classes": (_DEFAULT_TEXT.replace(
+        "model.num_classes = 2", "model.num_classes = 0"),
+        "model.num_classes", 2),
+    "anchor_count_mismatch": (_DEFAULT_TEXT.replace(
+        "anchors.p3 = 8x8,16x12,12x16", "anchors.p3 = 8x8,16x12"),
+        "anchors.p3", 18),
+    "duplicate_key": (_DEFAULT_TEXT + "model.seed = 4\n", "model.seed", 21),
+    "csp_not_boolean": (_DEFAULT_TEXT.replace(
+        "model.csp = true", "model.csp = yes"), "model.csp", 5),
+    "zero_ca_ratio": (_DEFAULT_TEXT.replace(
+        "attention.ca_ratio = 16", "attention.ca_ratio = 0"),
+        "attention.ca_ratio", 14),
+    "zero_dyrelu_reduction": (_DEFAULT_TEXT.replace(
+        "attention.dyrelu_reduction = 4", "attention.dyrelu_reduction = 0"),
+        "attention.dyrelu_reduction", 15),
+    "anchor_without_x": (_DEFAULT_TEXT.replace(
+        "anchors.p3 = 8x8,16x12,12x16", "anchors.p3 = 8y8"), "anchors.p3", 18),
+}
+
+
+class TestConfigBoundaries:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_rejected_naming_key_and_line(self, case):
+        text, key, line = BAD_CONFIGS[case]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.key == key
+        assert str(exc.value).startswith(f"line {line}: ")
+        assert key in str(exc.value)
+
+    def test_built_config_names_key_without_line(self):
+        with pytest.raises(ConfigError, match="^bad value for model.num_classes"):
+            ModelConfig(num_classes=0).validate()
+        three = ((1.0, 1.0),) * 3
+        with pytest.raises(ConfigError, match="anchors.p4"):
+            ModelConfig(anchors=(three, three[:1], three)).validate()
+
+    def test_cli_prints_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        for case, (text, _, line) in sorted(BAD_CONFIGS.items()):
+            path.write_text(text)
+            assert cli.main(["params", str(path)]) == 1, case
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: line {line}: "), case
+            assert captured.err.count("\n") == 1, case
+
+
 class TestPpm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -103,3 +156,10 @@ class TestPpm:
         data = path.read_bytes()
         assert data.startswith(b"P5\n2 2\n255\n")
         assert list(data[-4:]) == [0, 255, 128, 255]
+
+    @pytest.mark.parametrize("extents", [b"-4 4", b"4 -4", b"0 0", b"0 3"])
+    def test_non_positive_extent_rejected(self, tmp_path, extents):
+        path = tmp_path / "e.ppm"
+        path.write_bytes(b"P6\n" + extents + b"\n255\n" + bytes(48))
+        with pytest.raises(ImageFormatError, match="non-positive image extent"):
+            read_ppm(path)

@@ -6,27 +6,27 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tridet import ops
-from tridet.coordatt import CoordAttention, coord_apply, coord_embed
+from tridet.coordatt import CoordAttention, coord_apply
 
 
 class TestEmbed:
     def test_constant_input(self):
         x = np.full((1, 2, 3, 4), 0.7)
-        q_h, q_w = coord_embed(x)
+        q_h, q_w = ops.directional_pool(x)
         assert_allclose(q_h, 0.7)
         assert_allclose(q_w, 0.7)
 
     def test_row_dependent_input_gives_constant_qw(self):
         rows = np.arange(4.0)[None, None, :, None]
         x = np.broadcast_to(rows, (1, 2, 4, 5)).copy()
-        q_h, q_w = coord_embed(x)
+        q_h, q_w = ops.directional_pool(x)
         assert_allclose(q_w, np.broadcast_to(q_w[..., :1], q_w.shape))
         assert_allclose(q_h[0, 0, :, 0], np.arange(4.0))
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 3, 4, 5))
-        q_h, q_w = coord_embed(x)
+        q_h, q_w = ops.directional_pool(x)
         for c in range(3):
             for i in range(4):
                 assert_allclose(q_h[0, c, i, 0], x[0, c, i, :].mean())
@@ -40,7 +40,7 @@ class TestGenerate:
         for p in ca.params():
             p.value[:] = 0.0
         x = np.random.default_rng(1).standard_normal((1, 8, 3, 4))
-        g_h, g_w, _ = ca.generate(*coord_embed(x))
+        g_h, g_w, _ = ca.generate(*ops.directional_pool(x))
         assert_allclose(g_h, 0.5)
         assert_allclose(g_w, 0.5)
 
@@ -48,7 +48,7 @@ class TestGenerate:
         rng = np.random.default_rng(2)
         ca = CoordAttention(8, 4, rng)
         x = rng.standard_normal((1, 8, 4, 4))
-        g_h, g_w, _ = ca.generate(*coord_embed(x))
+        g_h, g_w, _ = ca.generate(*ops.directional_pool(x))
         for g in (g_h, g_w):
             assert (g > 0.0).all() and (g < 1.0).all()
 
@@ -60,7 +60,7 @@ class TestGenerate:
         ca.squeeze_bn.mean.value = rng.uniform(-0.5, 0.5, 2)
         ca.squeeze_bn.var.value = rng.uniform(0.5, 2.0, 2)
         x = rng.standard_normal((1, 32, 4, 4))
-        g_h, g_w, _ = ca.generate(*coord_embed(x))
+        g_h, g_w, _ = ca.generate(*ops.directional_pool(x))
         # independent reference built from tensor-core ops only
         q_h = x.mean(axis=3, keepdims=True)
         q_w = x.mean(axis=2, keepdims=True)

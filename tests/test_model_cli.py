@@ -4,6 +4,7 @@ command-line surface."""
 import numpy as np
 import pytest
 from dataclasses import replace
+from types import SimpleNamespace
 
 from tridet import cli
 from tridet.config import ModelConfig, serialize_config
@@ -73,6 +74,30 @@ class TestWeights:
         path.write_bytes(data[:-10])
         with pytest.raises(WeightFileError, match="truncated payload for"):
             load_weights(model, path)
+
+    @pytest.mark.parametrize("fault, match", [
+        ("truncated", "truncated payload for"),
+        ("trailing", "4 trailing bytes"),
+        ("duplicate", "duplicate tensor name"),
+    ])
+    def test_bad_file_leaves_model_unchanged(self, tmp_path, fault, match):
+        source = build_model(toy_cfg())
+        pairs = list(source.named_params())
+        if fault == "duplicate":
+            pairs.append(pairs[0])
+        path = tmp_path / "w.bin"
+        # save_weights only walks named_params(), so a stub can repeat a name
+        save_weights(SimpleNamespace(named_params=lambda: pairs), path)
+        data = path.read_bytes()
+        if fault == "truncated":
+            path.write_bytes(data[:-10])
+        elif fault == "trailing":
+            path.write_bytes(data + bytes(4))
+        target = build_model(toy_cfg(seed=1))
+        before = target.checksum()
+        with pytest.raises(WeightFileError, match=match):
+            load_weights(target, path)
+        assert target.checksum() == before
 
     def test_unknown_tensor_rejected(self, tmp_path):
         small = build_model(toy_cfg("tiny"))

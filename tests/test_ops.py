@@ -127,23 +127,6 @@ class TestMaxPool:
 
 
 class TestPooling:
-    def test_global_avg_constant(self):
-        x = np.full((1, 2, 3, 3), 4.0)
-        assert_allclose(ops.global_avg_pool(x, (2, 3)), 4.0)
-
-    def test_global_avg_known_value(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        assert_allclose(ops.global_avg_pool(x, (2, 3)), [[[[2.5]]]])
-
-    def test_global_avg_gradient(self):
-        x = np.zeros((1, 1, 4, 4))
-        g = ops.global_avg_pool_backward(x, (2, 3), np.ones((1, 1, 1, 1)))
-        assert_allclose(g, 1.0 / 16)
-
-    def test_empty_axis_set_rejected(self):
-        with pytest.raises(ops.ShapeError):
-            ops.global_avg_pool(np.zeros((1, 1, 2, 2)), ())
-
     def test_directional_pool_hand_values(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         q_h, q_w = ops.directional_pool(x)
@@ -172,20 +155,25 @@ class TestPooling:
 class TestBilinearSample:
     def test_integer_coordinates_exact(self):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((1, 1, 4, 4))
-        assert ops.bilinear_sample(x, 0, 0, 2.0, 3.0) == x[0, 0, 2, 3]
+        plane = rng.standard_normal((2, 4, 4))
+        out = ops.grid_sample_zero(plane, np.array([2.0]), np.array([3.0]))
+        assert (out[:, 0] == plane[:, 2, 3]).all()
 
     def test_four_point_average(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        assert_allclose(ops.bilinear_sample(x, 0, 0, 0.5, 0.5), 2.5)
+        plane = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        out = ops.grid_sample_zero(plane, np.array([0.5]), np.array([0.5]))
+        assert_allclose(out, [[2.5]])
 
     def test_out_of_bounds_zero(self):
-        x = np.ones((1, 1, 2, 2))
-        assert ops.bilinear_sample(x, 0, 0, -1.0, -1.0) == 0.0
+        plane = np.ones((1, 2, 2))
+        out = ops.grid_sample_zero(plane, np.array([-1.0, 3.0, 0.0]),
+                                   np.array([-1.0, 0.0, 2.5]))
+        assert (out == 0.0).all()
 
     def test_nan_coordinates_rejected(self):
         with pytest.raises(ValueError):
-            ops.bilinear_sample(np.ones((1, 1, 2, 2)), 0, 0, np.nan, 0.0)
+            ops.grid_sample_zero(np.ones((1, 2, 2)), np.array([np.nan]),
+                                 np.array([0.0]))
 
     def test_grid_sample_gradients(self):
         rng = np.random.default_rng(8)
