@@ -79,6 +79,7 @@ class ModelConfig:
               f"unknown variant {self.variant!r}")
         check(self.num_classes >= 1, "model.num_classes",
               f"{self.num_classes} is below 1")
+        check(self.seed >= 0, "model.seed", f"{self.seed} is below 0")
         check(len(self.widths) == 3 and all(w >= 2 for w in self.widths),
               "model.widths", f"need three extents >= 2, got {self.widths}")
         check(self.ca_ratio >= 1, "attention.ca_ratio", f"{self.ca_ratio} is below 1")

@@ -118,7 +118,11 @@ def load_weights(model: Model, path):
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", data, off)
             off += 2
-            name = data[off: off + nlen].decode()
+            try:
+                name = data[off: off + nlen].decode()
+            except UnicodeDecodeError as e:
+                raise WeightFileError(
+                    f"tensor name at byte {off + e.start} is not UTF-8") from e
             off += nlen
             dtype, ndim = struct.unpack_from("<BB", data, off)
             off += 2

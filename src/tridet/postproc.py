@@ -135,20 +135,56 @@ def diou_grad(pred: Box, gt: Box):
 def diou_nms(dets, threshold=0.45):
     """Greedy class-wise suppression: keep by descending score (input
     index breaks ties), drop candidates whose distance-IoU with a kept
-    detection of the same class exceeds the threshold."""
+    detection of the same class exceeds the threshold.
+
+    Each kept box meets all later ones in one vector DIoU in `diou`'s
+    operation order. `diou` squares with `**`, which libm may round one
+    ulp off `x * x`, so values within 1e-9 of the threshold use `diou`."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    kept = []
-    for i in order:
-        cand = dets[i]
-        ok = True
-        for j in kept:
-            k = dets[j]
-            if k.class_id == cand.class_id and diou(k.box, cand.box) > threshold:
-                ok = False
-                break
-        if ok:
-            kept.append(i)
-    return [dets[i] for i in kept]
+    ranked = [dets[i] for i in order]
+    n = len(ranked)
+    b = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h)
+                  for d in ranked]).reshape(n, 4).T
+    cls = np.array([d.class_id for d in ranked])
+    ctr, half, area = b[:2], b[2:] / 2, b[2] * b[3]
+    lo, hi = ctr - half, ctr + half
+    # per-row temporaries, allocated once: [iw, ih], [cw, ch], [dx, dy]
+    inner, outer, dist = np.empty((3, 2, n))
+    union, val, tmp = np.empty((3, n))
+    flag = np.empty((2, n), dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    for k in range(n):
+        if not alive[k]:
+            continue
+        s, m = slice(k + 1, n), n - k - 1
+        i2, o2, d2, f2 = inner[:, :m], outer[:, :m], dist[:, :m], flag[:, :m]
+        u, v, t = union[:m], val[:m], tmp[:m]
+        np.subtract(np.minimum(hi[:, s], hi[:, k, None], out=i2),
+                    np.maximum(lo[:, s], lo[:, k, None], out=d2), out=i2)
+        np.subtract(np.maximum(hi[:, s], hi[:, k, None], out=o2),
+                    np.minimum(lo[:, s], lo[:, k, None], out=d2), out=o2)
+        # IoU: a clamped iw or ih gives inter = 0, so IoU 0, as in `iou`
+        np.multiply(*np.maximum(i2, 0.0, out=i2), out=t)
+        np.subtract(np.add(area[k], area[s], out=u), t, out=u)
+        v.fill(0.0)
+        np.divide(t, u, out=v, where=np.greater(u, 0.0, out=f2[0]))
+        # minus rho2 / c2 where c2 > 0
+        np.multiply(o2, o2, out=o2)
+        np.add(o2[0], o2[1], out=o2[0])
+        np.subtract(ctr[:, k, None], ctr[:, s], out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.add(d2[0], d2[1], out=d2[0])
+        t.fill(0.0)
+        np.divide(d2[0], o2[0], out=t, where=np.greater(o2[0], 0.0, out=f2[0]))
+        np.subtract(v, t, out=v)
+        np.abs(np.subtract(v, threshold, out=t), out=t)
+        for j in np.flatnonzero(np.less(t, 1e-9, out=f2[0])):
+            v[j] = diou(ranked[k].box, ranked[k + 1 + j].box)
+        # suppress same-class boxes above the threshold
+        np.logical_or(np.less_equal(v, threshold, out=f2[0]),
+                      np.not_equal(cls[s], cls[k], out=f2[1]), out=f2[0])
+        np.logical_and(alive[s], f2[0], out=alive[s])
+    return [d for d, keep in zip(ranked, alive) if keep]
 
 
 def _clamp_p(p):
@@ -208,25 +244,26 @@ def _split_raw(raw, n_anchors, num_classes):
 def decode_predictions(raw, anchors, stride, conf_threshold, num_classes):
     """Standard anchor decode: centers from sigmoid offsets plus the cell
     origin times the stride, extents from exponential anchor scaling.
-    Detections at or below the confidence threshold are dropped."""
+    Detections at or below the confidence threshold are dropped; the
+    rest come in (anchor, row, column) order."""
     raw = np.asarray(raw, dtype=np.float64)
     r = _split_raw(raw, len(anchors), num_classes)
-    h, w = r.shape[2:]
     dets = []
     for a, (aw, ah) in enumerate(anchors):
         obj = ops.sigmoid(r[a, 4])
         cls = ops.sigmoid(r[a, 5:])
-        for i in range(h):
-            for j in range(w):
-                cid = int(cls[:, i, j].argmax())
-                score = float(obj[i, j] * cls[cid, i, j])
-                if score <= conf_threshold:
-                    continue
-                cx = (float(ops.sigmoid(r[a, 0, i, j])) + j) * stride
-                cy = (float(ops.sigmoid(r[a, 1, i, j])) + i) * stride
-                bw = aw * math.exp(float(r[a, 2, i, j]))
-                bh = ah * math.exp(float(r[a, 3, i, j]))
-                dets.append(Detection(Box(cx, cy, bw, bh), cid, score))
+        score = obj * cls.max(axis=0)
+        # a NaN score is kept, as `score <= conf_threshold` is false for it
+        ii, jj = np.nonzero(~(score <= conf_threshold))
+        t = r[a, :4][:, ii, jj]
+        cx = (ops.sigmoid(t[0]) + jj) * stride
+        cy = (ops.sigmoid(t[1]) + ii) * stride
+        # math.exp, not np.exp: numpy's SIMD exp may round differently
+        for x, y, tw, th, c, p in zip(cx.tolist(), cy.tolist(), *t[2:].tolist(),
+                                      cls.argmax(axis=0)[ii, jj].tolist(),
+                                      score[ii, jj].tolist()):
+            dets.append(Detection(
+                Box(x, y, aw * math.exp(tw), ah * math.exp(th)), c, p))
     return dets
 
 

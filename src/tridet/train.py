@@ -84,5 +84,4 @@ def run_inference(model: Model, cfg: ModelConfig, image):
     for raw, anchors, stride in zip(raws, cfg.anchors, STRIDES):
         dets.extend(decode_predictions(raw, anchors, stride,
                                        cfg.conf_threshold, cfg.num_classes))
-    dets.sort(key=lambda d: -d.score)
     return diou_nms(dets, cfg.nms_threshold)

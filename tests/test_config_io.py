@@ -84,6 +84,8 @@ BAD_CONFIGS = {
     "zero_dyrelu_reduction": (_DEFAULT_TEXT.replace(
         "attention.dyrelu_reduction = 4", "attention.dyrelu_reduction = 0"),
         "attention.dyrelu_reduction", 15),
+    "negative_seed": (_DEFAULT_TEXT.replace(
+        "model.seed = 0", "model.seed = -1"), "model.seed", 4),
     "anchor_without_x": (_DEFAULT_TEXT.replace(
         "anchors.p3 = 8x8,16x12,12x16", "anchors.p3 = 8y8"), "anchors.p3", 18),
 }

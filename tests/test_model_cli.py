@@ -79,6 +79,7 @@ class TestWeights:
         ("truncated", "truncated payload for"),
         ("trailing", "4 trailing bytes"),
         ("duplicate", "duplicate tensor name"),
+        ("bad_name", "tensor name at byte 10 is not UTF-8"),
     ])
     def test_bad_file_leaves_model_unchanged(self, tmp_path, fault, match):
         source = build_model(toy_cfg())
@@ -93,6 +94,9 @@ class TestWeights:
             path.write_bytes(data[:-10])
         elif fault == "trailing":
             path.write_bytes(data + bytes(4))
+        elif fault == "bad_name":
+            # byte 10 is the first byte of the first manifest name
+            path.write_bytes(data[:10] + b"\xff" + data[11:])
         target = build_model(toy_cfg(seed=1))
         before = target.checksum()
         with pytest.raises(WeightFileError, match=match):

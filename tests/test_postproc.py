@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tridet import ops
@@ -28,6 +30,50 @@ def brute_force_nms(dets, threshold):
                or diou(dets[j].box, dets[i].box) <= threshold for j in kept):
             kept.append(i)
     return [dets[i] for i in kept]
+
+
+def loop_decode(raw, anchors, stride, conf_threshold, num_classes):
+    """The per-cell decode loop that decode_predictions must reproduce."""
+    r = np.asarray(raw, dtype=np.float64).reshape(
+        len(anchors), 5 + num_classes, *np.shape(raw)[1:])
+    h, w = r.shape[2:]
+    dets = []
+    for a, (aw, ah) in enumerate(anchors):
+        obj = ops.sigmoid(r[a, 4])
+        cls = ops.sigmoid(r[a, 5:])
+        for i in range(h):
+            for j in range(w):
+                cid = int(cls[:, i, j].argmax())
+                score = float(obj[i, j] * cls[cid, i, j])
+                if score <= conf_threshold:
+                    continue
+                cx = (float(ops.sigmoid(r[a, 0, i, j])) + j) * stride
+                cy = (float(ops.sigmoid(r[a, 1, i, j])) + i) * stride
+                bw = aw * math.exp(float(r[a, 2, i, j]))
+                bh = ah * math.exp(float(r[a, 3, i, j]))
+                dets.append(Detection(Box(cx, cy, bw, bh), cid, score))
+    return dets
+
+
+# integer values make scores tie exactly, boxes coincide and extents vanish
+_coord = st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 64.0))
+_extent = st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 20.0))
+_score = st.one_of(st.integers(1, 4).map(lambda v: v / 4), st.floats(0.0, 1.0))
+
+
+@st.composite
+def detection_lists(draw):
+    classes = st.integers(0, draw(st.integers(0, 2)))
+    n = draw(st.integers(0, 100))
+    rows = draw(st.lists(st.tuples(_coord, _coord, _extent, _extent, classes,
+                                   _score), min_size=n, max_size=n))
+    # exact copies of drawn boxes; two zero-extent copies have c2 == 0
+    if rows:
+        copies = st.tuples(st.integers(0, len(rows) - 1), classes, _score)
+        n = draw(st.integers(0, 50))
+        rows += [rows[i][:4] + (c, p) for i, c, p in
+                 draw(st.lists(copies, min_size=n, max_size=n))]
+    return [Detection(Box(*r[:4]), r[4], r[5]) for r in rows]
 
 
 class TestIoU:
@@ -106,6 +152,32 @@ class TestDIoUNMS:
             got = diou_nms(dets, 0.45)
             ref = brute_force_nms(dets, 0.45)
             assert got == ref, f"seed {seed}"
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(detection_lists(), st.sampled_from([-0.3, 0.0, 0.3, 0.45, 0.9]))
+    def test_property_matches_brute_force_oracle(self, dets, threshold):
+        assert diou_nms(dets, threshold) == brute_force_nms(dets, threshold)
+
+    def test_degenerate_boxes(self):
+        point = Box(2.0, 2.0, 0.0, 0.0)   # c2 == 0 against itself
+        line = Box(2.0, 2.0, 0.0, 4.0)    # zero width: IoU 0 against itself
+        dets = [Detection(point, 0, 0.5), Detection(point, 0, 0.5),
+                Detection(line, 1, 0.5), Detection(line, 1, 0.7)]
+        assert diou_nms(dets, 0.0) == brute_force_nms(dets, 0.0)
+        assert diou_nms(dets, -0.5) == [dets[3], dets[0]]
+
+    @pytest.mark.parametrize("cx", [12.55403779917204, 11.59867016807235])
+    def test_threshold_at_diou_rounding_edge(self, cx):
+        # (a.cx - b.cx) ** 2 here differs by one ulp from the product, so
+        # the product-based DIoU lands on the other side of the threshold
+        a, b = Box(10.0, 10.0, 4.0, 4.0), Box(cx, 10.0, 4.0, 4.0)
+        dx, cw = a.cx - b.cx, (b.cx + 2.0) - 8.0
+        by_product = iou(a, b) - (dx * dx) / (cw * cw + 4.0 * 4.0)
+        assert by_product != diou(a, b)
+        threshold = min(by_product, diou(a, b))
+        dets = [Detection(a, 0, 0.9), Detection(b, 0, 0.8)]
+        assert diou_nms(dets, threshold) == brute_force_nms(dets, threshold)
 
     def test_subset_order_idempotent(self):
         rng = np.random.default_rng(3)
@@ -217,6 +289,33 @@ class TestDecode:
                     if obj * cls > 0.25:
                         count += 1
         assert len(dets) == count
+
+    def test_score_at_threshold_dropped_and_tie_takes_first_class(self):
+        raw = np.zeros((7, 1, 2))
+        raw[4, 0, 1] = 1.0   # cell 1: score sigmoid(1) / 2, cell 0: 0.25
+        dets = decode_predictions(raw, self.ANCHORS[:1], 8, 0.25, 2)
+        assert len(dets) == 1
+        assert dets[0].class_id == 0 and dets[0].box.cx == 12.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 4), st.data())
+    def test_matches_per_cell_loop(self, n_anchors, nc, h, w, data):
+        shape = (n_anchors * (5 + nc), h, w)
+        # integer logits tie class scores and repeat cell scores
+        logits = st.one_of(st.integers(-3, 3).map(float), st.floats(-8.0, 8.0))
+        size = int(np.prod(shape))
+        raw = np.array(data.draw(st.lists(logits, min_size=size,
+                                          max_size=size))).reshape(shape)
+        anchors = ((8.0, 8.0), (16.0, 12.0), (12.0, 16.0))[:n_anchors]
+        scores = [d.score for d in loop_decode(raw, anchors, 16, -1.0, nc)]
+        # a threshold equal to an attained score, or any in [0, 1]
+        threshold = data.draw(st.one_of(st.sampled_from(scores),
+                                        st.floats(0.0, 1.0)))
+        got = decode_predictions(raw, anchors, 16, threshold, nc)
+        ref = loop_decode(raw, anchors, 16, threshold, nc)
+        # repr spells out every field and its type, float values exactly
+        assert [repr(d) for d in got] == [repr(d) for d in ref]
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ops.ShapeError):
