@@ -109,38 +109,27 @@ class SpatialAttention(Layer):
             mod = ops.sigmoid(mod_raw)
         yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
                              np.arange(w, dtype=np.float64), indexing="ij")
+        dy, dx = np.array(BASE_OFFSETS, dtype=np.float64).T[:, :, None, None]
+        ys = yy + dy + offsets[0::2]
+        xs = xx + dx + offsets[1::2]
+        samples = ops.grid_sample_zero(base, ys, xs)
         wk = self.tap_weights.value
         out = np.zeros_like(base)
-        coords = []
-        samples = []
-        for k, (dy, dx) in enumerate(BASE_OFFSETS):
-            ys = yy + dy + offsets[2 * k]
-            xs = xx + dx + offsets[2 * k + 1]
-            s_k = ops.grid_sample_zero(base, ys, xs)
-            coords.append((ys, xs))
-            samples.append(s_k)
-            out += wk[k] * s_k * mod[k][None]
-        self._cache = (base, mod, mod_raw, coords, samples)
+        for k in range(STENCIL_K):
+            out += wk[k] * samples[:, k] * mod[k]
+        self._cache = (base, mod, mod_raw, ys, xs, samples)
         return out
 
     def backward(self, gout):
         """Returns the gradients w.r.t. (base, ctx)."""
-        base, mod, mod_raw, coords, samples = self._cache
+        base, mod, mod_raw, ys, xs, samples = self._cache
         wk = self.tap_weights.value
-        g_base = np.zeros_like(base)
-        g_off = np.zeros((2 * STENCIL_K,) + base.shape[1:])
-        g_mod = np.zeros((STENCIL_K,) + base.shape[1:])
-        gwk = np.zeros(STENCIL_K)
-        for k in range(STENCIL_K):
-            ys, xs = coords[k]
-            s_k = samples[k]
-            gwk[k] = float((gout * s_k * mod[k][None]).sum())
-            g_mod[k] = (gout * s_k).sum(axis=0) * wk[k]
-            g_sample = gout * (wk[k] * mod[k])[None]
-            gb, gys, gxs = ops.grid_sample_zero_backward(base, ys, xs, g_sample)
-            g_base += gb
-            g_off[2 * k] = gys
-            g_off[2 * k + 1] = gxs
+        gs = gout[:, None] * samples
+        gwk = (gs * mod).sum(axis=(0, 2, 3))
+        g_mod = gs.sum(axis=0) * wk[:, None, None]
+        g_base, gys, gxs = ops.grid_sample_zero_backward(
+            base, ys, xs, gout[:, None] * (wk[:, None, None] * mod))
+        g_off = np.stack([gys, gxs], axis=1).reshape((-1,) + gys.shape[1:])
         self.tap_weights.grad += gwk
         if self.unit_modulation:
             g_mod_raw = np.zeros_like(mod_raw)

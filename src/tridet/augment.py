@@ -73,22 +73,6 @@ def rescale(img: LabeledImage, factor) -> LabeledImage:
     return LabeledImage(pixels, boxes)
 
 
-def scale_crop(img: LabeledImage, scale, crop=None) -> LabeledImage:
-    """Rescale then crop (x0, y0, w, h) in scaled coordinates; the default
-    crop is the full scaled frame."""
-    scaled = rescale(img, scale)
-    if crop is None:
-        return scaled
-    x0, y0, cw, ch = crop
-    return _crop(scaled, x0, y0, cw, ch)
-
-
-def _crop(img: LabeledImage, x0, y0, cw, ch) -> LabeledImage:
-    pixels = img.pixels[:, y0: y0 + ch, x0: x0 + cw]
-    boxes = _shift_clip_boxes(img.boxes, -x0, -y0, cw, ch)
-    return LabeledImage(pixels.copy(), boxes)
-
-
 def _shift_clip_boxes(boxes, dx, dy, out_w, out_h):
     out = []
     for b in boxes:

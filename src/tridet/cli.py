@@ -41,6 +41,8 @@ def cmd_run(args):
 
 
 def cmd_gradcheck(args):
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     results = gc.run_suite(args.module, args.seeds)
     width = max(len(r.name) for r in results)
     ok = True
@@ -76,6 +78,9 @@ def cmd_params(args):
 
 
 def cmd_train_toy(args):
+    for flag, value in (("--steps", args.steps), ("--seed", args.seed)):
+        if value < 0:
+            raise ValueError(f"{flag} must be at least 0, got {value}")
     cfg = _load_cfg(args.config)
     model = build_model(cfg)
     curve = train_toy(model, cfg, args.steps, args.seed, args.lr, log=print)

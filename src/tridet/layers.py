@@ -49,10 +49,6 @@ class Layer:
         for p in self.params():
             p.grad[...] = 0.0
 
-    def n_params(self, trainable_only=True):
-        return sum(p.value.size for p in self.params()
-                   if p.trainable or not trainable_only)
-
 
 def uniform_init(rng, shape, fan_in):
     bound = 1.0 / np.sqrt(fan_in)

@@ -264,7 +264,6 @@ def grid_sample_zero_backward(plane, ys, xs, gout):
         (1, 0, ly * (1 - lx), (1 - lx), -ly),
         (1, 1, ly * lx, lx, ly),
     )
-    ci = np.arange(c)
     for dy, dx, wt, dwdy, dwdx in corners:
         yy = y0 + dy
         xx = x0 + dx
@@ -275,11 +274,8 @@ def grid_sample_zero_backward(plane, ys, xs, gout):
         # plane gradient: scatter weight * gout into the valid corner cells
         contrib = gout * (wt * valid)[None]
         idx = valid.nonzero()
-        if idx[0].size:
-            flat_y = yyc[idx]
-            flat_x = xxc[idx]
-            for chan in ci:
-                np.add.at(g_plane[chan], (flat_y, flat_x), contrib[chan][idx])
+        np.add.at(g_plane, (slice(None), yyc[idx], xxc[idx]),
+                  contrib[(slice(None),) + idx])
         gsum = (gout * vals).sum(axis=0)
         g_ys += gsum * dwdy
         g_xs += gsum * dwdx

@@ -267,18 +267,6 @@ def decode_predictions(raw, anchors, stride, conf_threshold, num_classes):
     return dets
 
 
-def encode_box(box, anchor, stride, cell_ij):
-    """Inverse of the decode transform for one assigned anchor/cell."""
-    i, j = cell_ij
-    sx = box.cx / stride - j
-    sy = box.cy / stride - i
-    if not (0.0 < sx < 1.0 and 0.0 < sy < 1.0):
-        raise ValueError(f"box center does not fall in cell {cell_ij}")
-    logit = lambda v: math.log(v / (1.0 - v))
-    return (logit(sx), logit(sy),
-            math.log(box.w / anchor[0]), math.log(box.h / anchor[1]))
-
-
 def format_detection(image_id, det):
     b = det.box
     return (f"{image_id} {det.class_id} {det.score:.6f} "

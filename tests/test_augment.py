@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from tridet.augment import (BoxLabel, LabeledImage, MosaicTransforms, hflip,
                             mixup, mosaic, mosaic_apply, rescale, rgb_shift,
-                            rng_from_seed, scale_crop)
+                            rng_from_seed)
 from tridet.postproc import Box
 
 
@@ -31,7 +31,7 @@ class TestElementaryTransforms:
 
     def test_scale_one_identity(self):
         img = toy_image(2, boxes=[BoxLabel(Box(8, 8, 4, 4), 0)])
-        out = scale_crop(img, 1.0)
+        out = rescale(img, 1.0)
         assert_allclose(out.pixels, img.pixels)
         assert_allclose(out.boxes[0].box.w, 4.0)
 

@@ -270,6 +270,20 @@ class TestCli:
         assert out.startswith("step 0 loss ")
         assert "final loss" in out
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["train-toy", "--steps", "1", "--seed", "-1"], "--seed"),
+        (["train-toy", "--steps", "-1"], "--steps"),
+        (["gradcheck", "--module", "coord-attention", "--seeds", "0"],
+         "--seeds"),
+    ])
+    def test_bad_count_flag_one_line_error(self, capsys, argv, flag):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {flag} must be at least ")
+
     def test_weights_io_selftest(self, capsys):
         assert cli.main(["weights-io-selftest"]) == 0
         assert "round-trip ok" in capsys.readouterr().out

@@ -37,7 +37,7 @@ class TestToyBackbone:
         bb = ToyBackbone(widths, np.random.default_rng(3))
         chain = [(3, 8), (8, 16), (16, 16), (16, 32), (32, 64)]
         expect = sum(co * ci * 9 + co for ci, co in chain)
-        assert bb.n_params() == expect
+        assert count_params(bb)[1] == expect
 
 
 class TestSPP:
@@ -104,13 +104,13 @@ class TestCSPLayer:
         rng = np.random.default_rng(7)
         csp = CSPLayer(2 * width, width, rng)
         plain = ThreeConvBlock(2 * width, width, rng)
-        assert csp.n_params() < plain.n_params()
+        assert count_params(csp)[1] < count_params(plain)[1]
 
     def test_spp_block_substitution_reduces_params(self):
         rng = np.random.default_rng(8)
         plain = SppBlock(64, 32, rng)
         csp = CspSppBlock(64, 32, rng)
-        assert csp.n_params() < plain.n_params()
+        assert count_params(csp)[1] < count_params(plain)[1]
 
 
 class TestNeck:
@@ -140,7 +140,7 @@ class TestNeck:
         from tridet.neck import FeaturePyramid
         plain = Neck((16, 32, 64), np.random.default_rng(0), 4, csp_enabled=False)
         csp = Neck((16, 32, 64), np.random.default_rng(0), 4, csp_enabled=True)
-        assert csp.n_params() < plain.n_params()
+        assert count_params(csp)[1] < count_params(plain)[1]
         fp = FeaturePyramid(*self._fp(rng))
         out_a = plain.forward(fp)
         out_b = csp.forward(fp)

@@ -175,12 +175,27 @@ class TestBilinearSample:
             ops.grid_sample_zero(np.ones((1, 2, 2)), np.array([np.nan]),
                                  np.array([0.0]))
 
+    def test_coordinate_stack_equals_separate_calls(self):
+        rng = np.random.default_rng(12)
+        plane = rng.standard_normal((3, 5, 4))
+        ys = rng.uniform(-1.5, 5.5, (9, 3, 4))
+        xs = rng.uniform(-1.5, 4.5, (9, 3, 4))
+        ys[0], xs[0] = np.round(ys[0]), np.round(xs[0])  # integer taps
+        ys[1], xs[1] = ys[2], xs[2]  # two taps on the same cells
+        ys[8] = -2.0  # a tap wholly outside the grid
+        out = ops.grid_sample_zero(plane, ys, xs)
+        assert out.shape == (3, 9, 3, 4)
+        for k in range(9):
+            one = ops.grid_sample_zero(plane, ys[k], xs[k])
+            assert (out[:, k] == one).all()
+
     def test_grid_sample_gradients(self):
+        # a [K, H, W] stack whose taps share corner cells, some off the grid
         rng = np.random.default_rng(8)
         plane = rng.standard_normal((2, 4, 4))
-        ys = rng.uniform(0.3, 2.6, (3, 3))
-        xs = rng.uniform(0.3, 2.6, (3, 3))
-        r = rng.standard_normal((2, 3, 3))
+        ys = rng.uniform(-0.7, 3.7, (3, 2, 3))
+        xs = rng.uniform(-0.7, 3.7, (3, 2, 3))
+        r = rng.standard_normal((2, 3, 2, 3))
         gp, gy, gx = ops.grid_sample_zero_backward(plane, ys, xs, r)
         fd = ops.finite_diff_grad(
             lambda v: (ops.grid_sample_zero(v, ys, xs) * r).sum(), plane)
@@ -188,6 +203,9 @@ class TestBilinearSample:
         fdy = ops.finite_diff_grad(
             lambda v: (ops.grid_sample_zero(plane, v, xs) * r).sum(), ys)
         assert ops.relative_error(gy, fdy) < 1e-6
+        fdx = ops.finite_diff_grad(
+            lambda v: (ops.grid_sample_zero(plane, ys, v) * r).sum(), xs)
+        assert ops.relative_error(gx, fdx) < 1e-6
 
 
 class TestActivations:

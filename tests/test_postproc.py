@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from tridet import ops
 from tridet.postproc import (Box, Detection, LossConfig, assign_targets,
                              decode_predictions, detection_loss, diou,
-                             diou_grad, diou_nms, encode_box, focal_loss,
+                             diou_grad, diou_nms, focal_loss,
                              focal_loss_grad_p, format_detection, iou,
                              label_smooth)
 
@@ -53,6 +53,16 @@ def loop_decode(raw, anchors, stride, conf_threshold, num_classes):
                 bh = ah * math.exp(float(r[a, 3, i, j]))
                 dets.append(Detection(Box(cx, cy, bw, bh), cid, score))
     return dets
+
+
+def encode_box(box, anchor, stride, cell_ij):
+    """Inverse of the decode transform for one assigned anchor/cell."""
+    i, j = cell_ij
+    sx = box.cx / stride - j
+    sy = box.cy / stride - i
+    assert 0.0 < sx < 1.0 and 0.0 < sy < 1.0, f"center not in cell {cell_ij}"
+    return (math.log(sx / (1.0 - sx)), math.log(sy / (1.0 - sy)),
+            math.log(box.w / anchor[0]), math.log(box.h / anchor[1]))
 
 
 # integer values make scores tie exactly, boxes coincide and extents vanish
