@@ -94,13 +94,12 @@ class SpatialAttention(Layer):
 
     def forward(self, base, ctx):
         h, w = base.shape[1:]
-        ctx_off = ctx[None]
-        ctx_mod = ctx[None]
+        ctx_off = ctx_mod = ctx
         if self.offset_dw is not None:
-            ctx_off = self.offset_dw.forward(ctx_off)
-            ctx_mod = self.mod_dw.forward(ctx_mod)
-        offsets = self.offset_pred.forward(ctx_off)[0]
-        mod_raw = self.mod_pred.forward(ctx_mod)[0]
+            ctx_off = self.offset_dw.forward(ctx)
+            ctx_mod = self.mod_dw.forward(ctx)
+        offsets = self.offset_pred.forward(ctx_off)
+        mod_raw = self.mod_pred.forward(ctx_mod)
         if not np.isfinite(offsets).all():
             raise ValueError("spatial attention predicted non-finite offsets")
         if self.unit_modulation:
@@ -135,12 +134,12 @@ class SpatialAttention(Layer):
             g_mod_raw = np.zeros_like(mod_raw)
         else:
             g_mod_raw = g_mod * mod * (1.0 - mod)
-        g_off_in = self.offset_pred.backward(g_off[None])
-        g_mod_in = self.mod_pred.backward(g_mod_raw[None])
+        g_off_in = self.offset_pred.backward(g_off)
+        g_mod_in = self.mod_pred.backward(g_mod_raw)
         if self.offset_dw is not None:
             g_off_in = self.offset_dw.backward(g_off_in)
             g_mod_in = self.mod_dw.backward(g_mod_in)
-        return g_base, g_off_in[0] + g_mod_in[0]
+        return g_base, g_off_in + g_mod_in
 
 
 class TaskAttention(Layer):
@@ -242,18 +241,18 @@ class TDAHead(Layer):
             raise ops.ShapeError(f"head expects a C x H x W map, got rank {y.ndim}")
         for blk in self.blocks:
             y = blk.forward(y)
-        y = self.conv3.forward(y[None])
+        y = self.conv3.forward(y)
         if self.conv3_pw is not None:
             y = self.conv3_pw.forward(y)
         y = self.act.forward(y)
-        return self.conv1.forward(y)[0]
+        return self.conv1.forward(y)
 
     def backward(self, graw):
-        g = self.conv1.backward(graw[None])
+        g = self.conv1.backward(graw)
         g = self.act.backward(g)
         if self.conv3_pw is not None:
             g = self.conv3_pw.backward(g)
-        g = self.conv3.backward(g)[0]
+        g = self.conv3.backward(g)
         for blk in reversed(self.blocks):
             g = blk.backward(g)
         return g

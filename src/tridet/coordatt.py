@@ -16,7 +16,7 @@ def coord_apply(x, g_h, g_w):
 
 
 class CoordAttention(Layer):
-    """The two-stage module over [N, C, H, W] maps.
+    """The two-stage module over one [C, H, W] map.
 
     Stage I embeds the two directional pools; stage II stacks them along
     the spatial axis, squeezes channels by ``ratio`` through a 1x1 conv +
@@ -37,15 +37,15 @@ class CoordAttention(Layer):
         self._cache = None
 
     def generate(self, q_h, q_w):
-        """Stage II: gates (g_h [N,C,H,1], g_w [N,C,1,W]) from the embeddings."""
-        h = q_h.shape[2]
-        w = q_w.shape[3]
-        stacked = ops.concat_axis([q_h, q_w.transpose(0, 1, 3, 2)], axis=2)
+        """Stage II: gates (g_h [C,H,1], g_w [C,1,W]) from the embeddings."""
+        h = q_h.shape[1]
+        w = q_w.shape[2]
+        stacked = ops.concat_axis([q_h, q_w.transpose(0, 2, 1)], axis=1)
         f_pre = self.squeeze_bn.forward(self.squeeze.forward(stacked))
         f = ops.activation("relu", f_pre)
-        f_h, f_w = ops.split_axis(f, 2, [h, w])
+        f_h, f_w = ops.split_axis(f, 1, [h, w])
         zh = self.expand_h.forward(f_h)
-        zw = self.expand_w.forward(f_w.transpose(0, 1, 3, 2))
+        zw = self.expand_w.forward(f_w.transpose(0, 2, 1))
         g_h = ops.sigmoid(zh)
         g_w = ops.sigmoid(zw)
         return g_h, g_w, (f_pre, h, w)
@@ -60,15 +60,15 @@ class CoordAttention(Layer):
     def backward(self, gy):
         x, g_h, g_w, (f_pre, h, w) = self._cache
         gx = gy * g_h * g_w
-        gg_h = (gy * x * g_w).sum(axis=3, keepdims=True)
-        gg_w = (gy * x * g_h).sum(axis=2, keepdims=True)
+        gg_h = (gy * x * g_w).sum(axis=2, keepdims=True)
+        gg_w = (gy * x * g_h).sum(axis=1, keepdims=True)
         gzh = gg_h * g_h * (1.0 - g_h)
         gzw = gg_w * g_w * (1.0 - g_w)
         gf_h = self.expand_h.backward(gzh)
-        gf_w = self.expand_w.backward(gzw).transpose(0, 1, 3, 2)
-        gf = ops.concat_axis([gf_h, gf_w], axis=2)
+        gf_w = self.expand_w.backward(gzw).transpose(0, 2, 1)
+        gf = ops.concat_axis([gf_h, gf_w], axis=1)
         gf = gf * ops.activation_deriv("relu", f_pre)
         gstacked = self.squeeze.backward(self.squeeze_bn.backward(gf))
-        gq_h, gq_w_t = ops.split_axis(gstacked, 2, [h, w])
-        gx += ops.directional_pool_backward(x, gq_h, gq_w_t.transpose(0, 1, 3, 2))
+        gq_h, gq_w_t = ops.split_axis(gstacked, 1, [h, w])
+        gx += ops.directional_pool_backward(x, gq_h, gq_w_t.transpose(0, 2, 1))
         return gx

@@ -122,7 +122,7 @@ def _away_from(x, points, margin=1e-3):
 # ---------------------------------------------------------------------------
 
 def check_conv2d(rng):
-    x = rng.standard_normal((2, 3, 5, 5))
+    x = rng.standard_normal((3, 5, 5))
     w = rng.standard_normal((4, 3, 3, 3)) * 0.5
     b = rng.standard_normal(4)
     return _check(rng, lambda *xs: ops.conv2d(*xs, padding=1),
@@ -130,12 +130,11 @@ def check_conv2d(rng):
 
 
 def check_conv2d_grouped(rng):
-    x = rng.standard_normal((1, 4, 6, 6))
+    x = rng.standard_normal((4, 6, 6))
     w = rng.standard_normal((4, 2, 3, 3)) * 0.5
     kw = dict(stride=2, padding=1, groups=2)
     return _check(rng, lambda *xs: ops.conv2d(*xs, None, **kw),
-                  lambda r: ops.conv2d_backward(x, w, r, with_bias=False,
-                                                **kw)[:2],
+                  lambda r: ops.conv2d_backward(x, w, r, **kw)[:2],
                   (x, w))
 
 
@@ -148,13 +147,13 @@ def check_fully_connected(rng):
 
 
 def check_max_pool(rng):
-    x = rng.standard_normal((1, 2, 5, 5))
+    x = rng.standard_normal((2, 5, 5))
     return _check(rng, lambda v: ops.max_pool2d(v, 3),
                   lambda r: ops.max_pool2d_backward(x, 3, r), (x,))
 
 
 def check_directional_pool(rng):
-    x = rng.standard_normal((1, 3, 4, 5))
+    x = rng.standard_normal((3, 4, 5))
     return _check(rng, ops.directional_pool,
                   lambda rh, rw: ops.directional_pool_backward(x, rh, rw), (x,))
 
@@ -171,7 +170,7 @@ def check_activations(rng):
 
 
 def check_batchnorm(rng):
-    x = rng.standard_normal((2, 4, 3, 3))
+    x = rng.standard_normal((4, 3, 3))
     scale = rng.standard_normal(4)
     shift = rng.standard_normal(4)
     mean = rng.standard_normal(4)
@@ -183,10 +182,10 @@ def check_batchnorm(rng):
 
 
 def check_concat_split(rng):
-    a = rng.standard_normal((1, 2, 3, 3))
-    b = rng.standard_normal((1, 4, 3, 3))
-    return _check(rng, lambda *xs: ops.concat_axis(xs, 1),
-                  lambda r: ops.concat_axis_backward([a, b], 1, r), (a, b))
+    a = rng.standard_normal((2, 3, 3))
+    b = rng.standard_normal((4, 3, 3))
+    return _check(rng, lambda *xs: ops.concat_axis(xs, 0),
+                  lambda r: ops.concat_axis_backward([a, b], 0, r), (a, b))
 
 
 def check_bilinear(rng):
@@ -289,7 +288,7 @@ def check_tda_head(rng):
 def check_coord_attention(rng):
     ca = CoordAttention(8, 4, np.random.default_rng(rng.integers(1 << 31)))
     ca.squeeze.bias.value = rng.uniform(0.1, 0.4, ca.squeeze.bias.value.shape)
-    x = rng.standard_normal((1, 8, 3, 4))
+    x = rng.standard_normal((8, 3, 4))
     return _check_layer(rng, ca, (x,))
 
 

@@ -56,14 +56,14 @@ def uniform_init(rng, shape, fan_in):
 
 
 class Conv2d(Layer):
-    def __init__(self, in_c, out_c, k, rng=None, stride=1, padding=None,
-                 dilation=1, groups=1, bias=True, zero_init=False):
+    """k x k convolution with bias and "same" padding k // 2."""
+
+    def __init__(self, in_c, out_c, k, rng=None, stride=1, groups=1,
+                 zero_init=False):
         self.in_c = in_c
         self.out_c = out_c
         self.k = k
         self.stride = stride
-        self.padding = k // 2 if padding is None else padding
-        self.dilation = dilation
         self.groups = groups
         fan_in = (in_c // groups) * k * k
         shape = (out_c, in_c // groups, k, k)
@@ -72,7 +72,7 @@ class Conv2d(Layer):
         else:
             w = uniform_init(rng, shape, fan_in)
         self.weight = Param(w)
-        self.bias = Param(np.zeros(out_c)) if bias else None
+        self.bias = Param(np.zeros(out_c))
         self._x = None
 
     @property
@@ -81,17 +81,15 @@ class Conv2d(Layer):
 
     def forward(self, x):
         self._x = np.asarray(x, dtype=np.float64)
-        b = self.bias.value if self.bias is not None else None
-        return ops.conv2d(self._x, self.weight.value, b, self.stride,
-                          self.padding, self.dilation, self.groups)
+        return ops.conv2d(self._x, self.weight.value, self.bias.value,
+                          self.stride, self.k // 2, self.groups)
 
     def backward(self, gy):
         gx, gw, gb = ops.conv2d_backward(
-            self._x, self.weight.value, gy, self.stride, self.padding,
-            self.dilation, self.groups, with_bias=self.bias is not None)
+            self._x, self.weight.value, gy, self.stride, self.k // 2,
+            self.groups)
         self.weight.grad += gw
-        if self.bias is not None:
-            self.bias.grad += gb
+        self.bias.grad += gb
         return gx
 
 
@@ -158,11 +156,11 @@ class BatchNorm2d(Layer):
 
 class UpsampleNearest2x(Layer):
     def forward(self, x):
-        return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+        return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
 
     def backward(self, gy):
-        n, c, h2, w2 = gy.shape
-        return gy.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
+        c, h2, w2 = gy.shape
+        return gy.reshape(c, h2 // 2, 2, w2 // 2, 2).sum(axis=(2, 4))
 
 
 class Sequential(Layer):

@@ -8,9 +8,8 @@ import struct
 
 import numpy as np
 
-from . import ops
 from .attention import TDAHead
-from .config import STRIDES, ModelConfig
+from .config import ModelConfig
 from .layers import Conv2d, Layer
 from .neck import Neck, ToyBackbone
 
@@ -45,18 +44,14 @@ class Model(Layer):
             first = tuple(int(i) for i in np.argwhere(bad)[0])
             raise ValueError(f"input image has {int(bad.sum())} non-finite "
                              f"pixel value(s), the first at index {first}")
-        fp = self.backbone.forward(image)
-        pyr = self.neck.forward(fp)
-        raws = [head.forward(p[0]) for head, p in zip(self.heads, pyr)]
-        self._feature_taps = {
-            "ca3": self.neck._taps[0][0], "ca4": self.neck._taps[1][0],
-            "ca5": self.neck._taps[2][0],
-            "p3": pyr.c3[0], "p4": pyr.c4[0], "p5": pyr.c5[0],
-        }
+        pyr = self.neck.forward(*self.backbone.forward(image))
+        raws = [head.forward(p) for head, p in zip(self.heads, pyr)]
+        self._feature_taps = dict(zip(("ca3", "ca4", "ca5", "p3", "p4", "p5"),
+                                      self.neck._taps + pyr))
         return raws
 
     def backward(self, graws):
-        gps = [head.backward(g)[None] for head, g in zip(self.heads, graws)]
+        gps = [head.backward(g) for head, g in zip(self.heads, graws)]
         gc3, gc4, gc5 = self.neck.backward(*gps)
         return self.backbone.backward(gc3, gc4, gc5)
 

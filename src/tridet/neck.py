@@ -5,25 +5,13 @@ emitting P3/P4/P5 at strides 8/16/32."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import ops
 from .coordatt import CoordAttention
-from .layers import Activation, Conv2d, Layer, Sequential, UpsampleNearest2x, conv_block
+from .layers import Layer, Sequential, UpsampleNearest2x, conv_block
 
 SPP_POOLS = (5, 9, 13)
-
-
-@dataclass
-class FeaturePyramid:
-    c3: np.ndarray
-    c4: np.ndarray
-    c5: np.ndarray
-
-    def __iter__(self):
-        return iter((self.c3, self.c4, self.c5))
 
 
 class ToyBackbone(Layer):
@@ -41,25 +29,25 @@ class ToyBackbone(Layer):
         ]
 
     def forward(self, image):
+        """image [3, H, W] -> the (C3, C4, C5) maps at strides 8/16/32."""
         if image.ndim != 3 or image.shape[0] != 3:
             raise ops.ShapeError(f"backbone expects a 3xHxW image, got {image.shape}")
         h, w = image.shape[1:]
         if h % 32 or w % 32:
             raise ops.ShapeError(f"image extents {h}x{w} not divisible by 32")
-        x = np.asarray(image, dtype=np.float64)[None]
+        x = np.asarray(image, dtype=np.float64)
         taps = []
         for stage in self.stages:
             x = stage.forward(x)
             taps.append(x)
-        return FeaturePyramid(taps[2], taps[3], taps[4])
+        return tuple(taps[2:])
 
     def backward(self, gc3, gc4, gc5):
         g = self.stages[4].backward(gc5)
         g = self.stages[3].backward(g + gc4)
         g = self.stages[2].backward(g + gc3)
         g = self.stages[1].backward(g)
-        g = self.stages[0].backward(g)
-        return g[0]
+        return self.stages[0].backward(g)
 
 
 class SPP(Layer):
@@ -74,11 +62,11 @@ class SPP(Layer):
 
     def forward(self, x):
         self._x = x
-        return ops.concat_axis([x] + [ops.max_pool2d(x, k) for k in self.pools], 1)
+        return ops.concat_axis([x] + [ops.max_pool2d(x, k) for k in self.pools], 0)
 
     def backward(self, gy):
-        c = self._x.shape[1]
-        parts = ops.split_axis(gy, 1, [c] * (1 + len(self.pools)))
+        c = self._x.shape[0]
+        parts = ops.split_axis(gy, 0, [c] * (1 + len(self.pools)))
         gx = parts[0]
         for k, g in zip(self.pools, parts[1:]):
             gx = gx + ops.max_pool2d_backward(self._x, k, g)
@@ -123,12 +111,12 @@ class CspSppBlock(Layer):
     def forward(self, x):
         a = self.shortcut.forward(x)
         b = self.post.forward(self.spp.forward(self.pre.forward(self.entry.forward(x))))
-        return self.merge.forward(ops.concat_axis([a, b], 1))
+        return self.merge.forward(ops.concat_axis([a, b], 0))
 
     def backward(self, gy):
         g = self.merge.backward(gy)
-        mid = g.shape[1] // 2
-        ga, gb = ops.split_axis(g, 1, [mid, mid])
+        mid = g.shape[0] // 2
+        ga, gb = ops.split_axis(g, 0, [mid, mid])
         gx = self.shortcut.backward(ga)
         gb = self.entry.backward(
             self.pre.backward(self.spp.backward(self.post.backward(gb))))
@@ -159,26 +147,24 @@ class CSPLayer(Layer):
     widths; ``act=None`` makes the whole layer linear for oracle tests.
     """
 
-    def __init__(self, cin, cout, rng=None, n=1, act="leaky_relu", depthwise=False):
+    def __init__(self, cin, cout, rng=None, act="leaky_relu", depthwise=False):
         half = cout // 2
         self.branch_a = conv_block(cin, half, 1, rng, act=act)
         self.branch_b = conv_block(cin, half, 1, rng, act=act)
-        inner = []
-        for _ in range(n):
-            inner.append(conv_block(half, half, 1, rng, act=act))
-            inner.append(conv_block(half, half, 3, rng, act=act, depthwise=depthwise))
-        self.inner = Sequential(*inner)
+        self.inner = Sequential(
+            conv_block(half, half, 1, rng, act=act),
+            conv_block(half, half, 3, rng, act=act, depthwise=depthwise))
         self.merge = conv_block(2 * half, cout, 1, rng, act=act)
         self._half = half
 
     def forward(self, x):
         a = self.branch_a.forward(x)
         b = self.inner.forward(self.branch_b.forward(x))
-        return self.merge.forward(ops.concat_axis([a, b], 1))
+        return self.merge.forward(ops.concat_axis([a, b], 0))
 
     def backward(self, gy):
         g = self.merge.backward(gy)
-        ga, gb = ops.split_axis(g, 1, [self._half, self._half])
+        ga, gb = ops.split_axis(g, 0, [self._half, self._half])
         return self.branch_a.backward(ga) \
             + self.branch_b.backward(self.inner.backward(gb))
 
@@ -219,45 +205,45 @@ class Neck(Layer):
     def ca_taps(self):
         return (self.ca3, self.ca4, self.ca5)
 
-    def forward(self, fp):
-        a5 = self.ca5.forward(fp.c5)
+    def forward(self, c3, c4, c5):
+        a5 = self.ca5.forward(c5)
         n5 = self.spp_block.forward(a5)
         t4 = self.up5.forward(self.reduce5.forward(n5))
-        a4 = self.ca4.forward(fp.c4)
-        m4 = self.fuse4.forward(ops.concat_axis([self.lat4.forward(a4), t4], 1))
+        a4 = self.ca4.forward(c4)
+        m4 = self.fuse4.forward(ops.concat_axis([self.lat4.forward(a4), t4], 0))
         t3 = self.up4.forward(self.reduce4.forward(m4))
-        a3 = self.ca3.forward(fp.c3)
-        p3 = self.fuse3.forward(ops.concat_axis([self.lat3.forward(a3), t3], 1))
-        p4 = self.fuse4b.forward(ops.concat_axis([self.down3.forward(p3), m4], 1))
-        p5 = self.fuse5b.forward(ops.concat_axis([self.down4.forward(p4), n5], 1))
+        a3 = self.ca3.forward(c3)
+        p3 = self.fuse3.forward(ops.concat_axis([self.lat3.forward(a3), t3], 0))
+        p4 = self.fuse4b.forward(ops.concat_axis([self.down3.forward(p3), m4], 0))
+        p5 = self.fuse5b.forward(ops.concat_axis([self.down4.forward(p4), n5], 0))
         self._taps = (a3, a4, a5)
-        return FeaturePyramid(p3, p4, p5)
+        return p3, p4, p5
 
     def backward(self, gp3, gp4, gp5):
         h3, h4, h5 = self.out_channels
         g = self.fuse5b.backward(gp5)
-        gd4, gn5 = ops.split_axis(g, 1, [h5, h5])
+        gd4, gn5 = ops.split_axis(g, 0, [h5, h5])
         gp4 = gp4 + self.down4.backward(gd4)
         g = self.fuse4b.backward(gp4)
-        gd3, gm4 = ops.split_axis(g, 1, [h4, h4])
+        gd3, gm4 = ops.split_axis(g, 0, [h4, h4])
         gp3 = gp3 + self.down3.backward(gd3)
         g = self.fuse3.backward(gp3)
-        gl3, gt3 = ops.split_axis(g, 1, [h3, h3])
+        gl3, gt3 = ops.split_axis(g, 0, [h3, h3])
         gc3 = self.ca3.backward(self.lat3.backward(gl3))
         gm4 = gm4 + self.reduce4.backward(self.up4.backward(gt3))
         g = self.fuse4.backward(gm4)
-        gl4, gt4 = ops.split_axis(g, 1, [h4, h4])
+        gl4, gt4 = ops.split_axis(g, 0, [h4, h4])
         gc4 = self.ca4.backward(self.lat4.backward(gl4))
         gn5 = gn5 + self.reduce5.backward(self.up5.backward(gt4))
         gc5 = self.ca5.backward(self.spp_block.backward(gn5))
         return gc3, gc4, gc5
 
 
-def count_params(model, trainable_only=True):
+def count_params(model):
     """Per-submodule trainable scalar counts plus the total."""
     table = {}
     for name, p in model.named_params():
-        if trainable_only and not p.trainable:
+        if not p.trainable:
             continue
         top = name.split(".")[0]
         table[top] = table.get(top, 0) + p.value.size

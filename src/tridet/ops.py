@@ -1,11 +1,12 @@
-"""Dense NCHW tensor kernels with matching analytic backward passes.
+"""Dense C-H-W tensor kernels with matching analytic backward passes.
 
-Every kernel is a pure function of numpy float64 arrays in row-major
-N-C-H-W layout.  For each differentiable op ``foo`` there is a
-``foo_backward`` that recomputes whatever intermediates it needs from the
-original inputs; nothing here keeps state and nothing builds a graph.
-The central-difference oracle ``finite_diff_grad`` is the reference all
-backward implementations are tested against.
+Every kernel is a pure function of numpy float64 arrays; feature maps are
+one image's row-major [C, H, W] array, with no batch axis.  For each
+differentiable op ``foo`` there is a ``foo_backward`` that recomputes
+whatever intermediates it needs from the original inputs; nothing here
+keeps state and nothing builds a graph.  The central-difference oracle
+``finite_diff_grad`` is the reference all backward implementations are
+tested against.
 """
 
 from __future__ import annotations
@@ -25,22 +26,26 @@ def _as_f64(x):
     return np.asarray(x, dtype=np.float64)
 
 
+def _check_map(name, x):
+    if x.ndim != 3:
+        raise ShapeError(f"{name} expects a rank-3 C x H x W map, got rank {x.ndim}")
+
+
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv2d_out_hw(h, w, kh, kw, stride, padding, dilation):
-    ho = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
-    wo = (w + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
+def conv2d_out_hw(h, w, kh, kw, stride, padding):
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
     return ho, wo
 
 
-def _check_conv_args(x, weight, stride, padding, dilation, groups):
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d input must be rank-4 NCHW, got rank {x.ndim}")
+def _check_conv_args(x, weight, stride, padding, groups):
+    _check_map("conv2d", x)
     if weight.ndim != 4:
         raise ShapeError(f"conv2d weight must be rank-4, got rank {weight.ndim}")
-    n, cin, h, w = x.shape
+    cin, h, w = x.shape
     cout, cin_g, kh, kw = weight.shape
     if cin % groups or cout % groups:
         raise ShapeError(
@@ -48,71 +53,67 @@ def _check_conv_args(x, weight, stride, padding, dilation, groups):
     if cin_g != cin // groups:
         raise ShapeError(
             f"weight expects {cin_g * groups} input channels, input has {cin}")
-    ho, wo = conv2d_out_hw(h, w, kh, kw, stride, padding, dilation)
+    ho, wo = conv2d_out_hw(h, w, kh, kw, stride, padding)
     if ho < 1 or wo < 1:
         raise ShapeError(f"empty output extent {ho}x{wo} for input {h}x{w}")
-    return n, cin, h, w, cout, kh, kw, ho, wo
+    return cin, h, w, cout, kh, kw, ho, wo
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
+def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     """Standard 2-D cross-correlation.
 
-    x: [N, Cin, H, W], weight: [Cout, Cin/groups, kH, kW], bias: [Cout].
+    x: [Cin, H, W], weight: [Cout, Cin/groups, kH, kW], bias: [Cout].
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
-    n, cin, h, w, cout, kh, kw, ho, wo = _check_conv_args(
-        x, weight, stride, padding, dilation, groups)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cin, h, w, cout, kh, kw, ho, wo = _check_conv_args(
+        x, weight, stride, padding, groups)
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     cg = cin // groups
     og = cout // groups
     wg = weight.reshape(groups, og, cg, kh, kw)
-    out = np.zeros((n, groups, og, ho, wo))
+    out = np.zeros((groups, og, ho, wo))
     for u in range(kh):
         for v in range(kw):
-            patch = xp[:, :,
-                       u * dilation: u * dilation + stride * (ho - 1) + 1: stride,
-                       v * dilation: v * dilation + stride * (wo - 1) + 1: stride]
-            patch = patch.reshape(n, groups, cg, ho, wo)
-            out += np.einsum("ngchw,goc->ngohw", patch, wg[:, :, :, u, v])
-    out = out.reshape(n, cout, ho, wo)
+            patch = xp[:, u: u + stride * (ho - 1) + 1: stride,
+                       v: v + stride * (wo - 1) + 1: stride]
+            patch = patch.reshape(groups, cg, ho, wo)
+            out += np.einsum("gchw,goc->gohw", patch, wg[:, :, :, u, v])
+    out = out.reshape(cout, ho, wo)
     if bias is not None:
         bias = _as_f64(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"bias has {bias.size} entries, expected {cout}")
-        out += bias[None, :, None, None]
+        out += bias[:, None, None]
     return out
 
 
-def conv2d_backward(x, weight, gy, stride=1, padding=0, dilation=1, groups=1,
-                    with_bias=True):
+def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
     """Gradients of conv2d w.r.t. input, weight and bias."""
     x = _as_f64(x)
     weight = _as_f64(weight)
     gy = _as_f64(gy)
-    n, cin, h, w, cout, kh, kw, ho, wo = _check_conv_args(
-        x, weight, stride, padding, dilation, groups)
-    if gy.shape != (n, cout, ho, wo):
-        raise ShapeError(f"gy shape {gy.shape} != {(n, cout, ho, wo)}")
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cin, h, w, cout, kh, kw, ho, wo = _check_conv_args(
+        x, weight, stride, padding, groups)
+    if gy.shape != (cout, ho, wo):
+        raise ShapeError(f"gy shape {gy.shape} != {(cout, ho, wo)}")
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     cg = cin // groups
     og = cout // groups
     wg = weight.reshape(groups, og, cg, kh, kw)
-    gyr = gy.reshape(n, groups, og, ho, wo)
+    gyr = gy.reshape(groups, og, ho, wo)
     gxp = np.zeros_like(xp)
     gw = np.zeros_like(wg)
     for u in range(kh):
         for v in range(kw):
-            hsl = slice(u * dilation, u * dilation + stride * (ho - 1) + 1, stride)
-            wsl = slice(v * dilation, v * dilation + stride * (wo - 1) + 1, stride)
-            patch = xp[:, :, hsl, wsl].reshape(n, groups, cg, ho, wo)
-            gw[:, :, :, u, v] += np.einsum("ngohw,ngchw->goc", gyr, patch)
-            gpatch = np.einsum("ngohw,goc->ngchw", gyr, wg[:, :, :, u, v])
-            gxp[:, :, hsl, wsl] += gpatch.reshape(n, cin, ho, wo)
-    gx = gxp[:, :, padding: padding + h, padding: padding + w]
-    gw = gw.reshape(cout, cg, kh, kw)
-    gb = gy.sum(axis=(0, 2, 3)) if with_bias else None
-    return gx, gw, gb
+            hsl = slice(u, u + stride * (ho - 1) + 1, stride)
+            wsl = slice(v, v + stride * (wo - 1) + 1, stride)
+            patch = xp[:, hsl, wsl].reshape(groups, cg, ho, wo)
+            gw[:, :, :, u, v] += np.einsum("gohw,gchw->goc", gyr, patch)
+            gpatch = np.einsum("gohw,goc->gchw", gyr, wg[:, :, :, u, v])
+            gxp[:, hsl, wsl] += gpatch.reshape(cin, ho, wo)
+    gx = gxp[:, padding: padding + h, padding: padding + w]
+    return gx, gw.reshape(cout, cg, kh, kw), gy.sum(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +150,12 @@ def fully_connected_backward(x, weight, gy):
 # ---------------------------------------------------------------------------
 
 def _pool_windows(x, k):
-    """Stacked k*k shifted views of x padded with -inf; shape [k*k, N, C, H, W]."""
-    n, c, h, w = x.shape
+    """Stacked k*k shifted views of x padded with -inf; shape [k*k, C, H, W]."""
+    c, h, w = x.shape
     pad = k // 2
-    xp = np.full((n, c, h + 2 * pad, w + 2 * pad), -np.inf)
-    xp[:, :, pad: pad + h, pad: pad + w] = x
-    views = [xp[:, :, u: u + h, v: v + w] for u in range(k) for v in range(k)]
+    xp = np.full((c, h + 2 * pad, w + 2 * pad), -np.inf)
+    xp[:, pad: pad + h, pad: pad + w] = x
+    views = [xp[:, u: u + h, v: v + w] for u in range(k) for v in range(k)]
     return np.stack(views, axis=0)
 
 
@@ -163,8 +164,7 @@ def max_pool2d(x, k):
     x = _as_f64(x)
     if k % 2 == 0:
         raise ShapeError(f"max_pool2d kernel must be odd, got {k}")
-    if x.ndim != 4:
-        raise ShapeError(f"max_pool2d expects rank-4 input, got rank {x.ndim}")
+    _check_map("max_pool2d", x)
     return _pool_windows(x, k).max(axis=0)
 
 
@@ -175,36 +175,33 @@ def max_pool2d_backward(x, k, gy):
         raise ShapeError(f"max_pool2d kernel must be odd, got {k}")
     stacked = _pool_windows(x, k)
     arg = stacked.argmax(axis=0)
-    n, c, h, w = x.shape
+    c, h, w = x.shape
     pad = k // 2
     # argmax index k*k decomposes into the window offset (u, v)
     u = arg // k
     v = arg % k
     oy, ox = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    src_y = oy[None, None] + u - pad
-    src_x = ox[None, None] + v - pad
+    src_y = oy + u - pad
+    src_x = ox + v - pad
+    ci = np.broadcast_to(np.arange(c)[:, None, None], x.shape)
     gx = np.zeros_like(x)
-    ni, ci = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
-    ni = ni[:, :, None, None] + np.zeros_like(src_y)
-    ci = ci[:, :, None, None] + np.zeros_like(src_y)
     valid = (src_y >= 0) & (src_y < h) & (src_x >= 0) & (src_x < w)
-    np.add.at(gx, (ni[valid], ci[valid], src_y[valid], src_x[valid]), gy[valid])
+    np.add.at(gx, (ci[valid], src_y[valid], src_x[valid]), gy[valid])
     return gx
 
 
 def directional_pool(x):
-    """Per-direction means: q_h [N,C,H,1] over width, q_w [N,C,1,W] over height."""
+    """Per-direction means: q_h [C,H,1] over width, q_w [C,1,W] over height."""
     x = _as_f64(x)
-    if x.ndim != 4:
-        raise ShapeError(f"directional_pool expects rank-4 input, got rank {x.ndim}")
-    q_h = x.mean(axis=3, keepdims=True)
-    q_w = x.mean(axis=2, keepdims=True)
+    _check_map("directional_pool", x)
+    q_h = x.mean(axis=2, keepdims=True)
+    q_w = x.mean(axis=1, keepdims=True)
     return q_h, q_w
 
 
 def directional_pool_backward(x, g_qh, g_qw):
     x = _as_f64(x)
-    n, c, h, w = x.shape
+    c, h, w = x.shape
     return (np.broadcast_to(_as_f64(g_qh) / w, x.shape)
             + np.broadcast_to(_as_f64(g_qw) / h, x.shape))
 
@@ -347,15 +344,15 @@ def batchnorm_inference(x, scale, shift, mean, var, eps=1e-5):
     """(x - mean) / sqrt(var + eps) * scale + shift, all per channel."""
     x = _as_f64(x)
     scale, shift, mean, var = map(_as_f64, (scale, shift, mean, var))
-    c = x.shape[1]
+    c = x.shape[0]
     for name, v in (("scale", scale), ("shift", shift), ("mean", mean), ("var", var)):
         if v.shape != (c,):
             raise ShapeError(f"batchnorm {name} has {v.size} entries, expected {c}")
     if (var < 0).any():
         raise ValueError("batchnorm got negative variance")
     inv = 1.0 / np.sqrt(var + eps)
-    return (x - mean[None, :, None, None]) * (scale * inv)[None, :, None, None] \
-        + shift[None, :, None, None]
+    return (x - mean[:, None, None]) * (scale * inv)[:, None, None] \
+        + shift[:, None, None]
 
 
 def batchnorm_inference_backward(x, scale, shift, mean, var, gy, eps=1e-5):
@@ -364,10 +361,10 @@ def batchnorm_inference_backward(x, scale, shift, mean, var, gy, eps=1e-5):
     scale, mean, var = map(_as_f64, (scale, mean, var))
     gy = _as_f64(gy)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-    gx = gy * (scale * inv)[None, :, None, None]
-    gscale = (gy * xhat).sum(axis=(0, 2, 3))
-    gshift = gy.sum(axis=(0, 2, 3))
+    xhat = (x - mean[:, None, None]) * inv[:, None, None]
+    gx = gy * (scale * inv)[:, None, None]
+    gscale = (gy * xhat).sum(axis=(1, 2))
+    gshift = gy.sum(axis=(1, 2))
     return gx, gscale, gshift
 
 

@@ -5,7 +5,7 @@ and the composite detection loss with gradients w.r.t. raw predictions."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

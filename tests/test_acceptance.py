@@ -56,7 +56,7 @@ class TestCriterion2OracleEquivalences:
             for ch in range(c):
                 for k, (dy, dx) in enumerate(BASE_OFFSETS):
                     kernel[ch, ch, dy + 1, dx + 1] = taps[k]
-            ref = ops.conv2d(x[None], kernel, None, padding=1)[0]
+            ref = ops.conv2d(x, kernel, None, padding=1)
             assert np.abs(got - ref).max() < 1e-10
 
     def test_task_attention_default_equals_relu_exactly(self):
@@ -70,7 +70,7 @@ class TestCriterion2OracleEquivalences:
         ca = CoordAttention(8, 4)
         for p in ca.params():
             p.value[:] = 0.0
-        x = rng.standard_normal((1, 8, 5, 7))
+        x = rng.standard_normal((8, 5, 7))
         assert_allclose(ca.forward(x), 0.25 * x, atol=1e-14)
 
     def test_scale_gate_matches_naive_loop_oracle(self):

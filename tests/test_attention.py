@@ -83,7 +83,7 @@ class TestSpatialAttention:
         kernel = np.zeros((4, 4, 3, 3))
         for c in range(4):
             kernel[c, c] = 1.0 / 9.0
-        ref = ops.conv2d(x[None], kernel, None, padding=1)[0]
+        ref = ops.conv2d(x, kernel, None, padding=1)
         assert np.abs(got - ref).max() < 1e-10
 
     def test_constant_half_offset_samples_midpoint(self):

@@ -201,9 +201,12 @@ class TestCli:
         feat_dir = tmp_path / "feats"
         assert cli.main(["run", cfg_path, w_path, img_path,
                          "--dump-features", str(feat_dir)]) == 0
-        names = sorted(p.name for p in feat_dir.iterdir())
-        assert names == ["ca3.pgm", "ca4.pgm", "ca5.pgm",
-                         "p3.pgm", "p4.pgm", "p5.pgm"]
+        # P5 header "P5\n{w} {h}\n255\n": each tap keeps its level's extent
+        extents = {p.name: p.read_bytes().split(b"\n")[1]
+                   for p in feat_dir.iterdir()}
+        assert extents == {"ca3.pgm": b"8 8", "p3.pgm": b"8 8",
+                           "ca4.pgm": b"4 4", "p4.pgm": b"4 4",
+                           "ca5.pgm": b"2 2", "p5.pgm": b"2 2"}
         capsys.readouterr()
 
     def test_run_missing_file_one_line_error(self, tmp_path, capsys):

@@ -8,24 +8,24 @@ from numpy.testing import assert_allclose
 from tridet import ops
 from tridet.neck import (CSPLayer, CspSppBlock, Neck, SPP, SppBlock,
                          ThreeConvBlock, ToyBackbone, count_params)
-from tridet.layers import Conv2d, Layer, conv_block
+from tridet.layers import Conv2d, Layer
 
 
 class TestToyBackbone:
     def test_stride_arithmetic(self):
         bb = ToyBackbone((16, 32, 64), np.random.default_rng(0))
-        fp = bb.forward(np.random.default_rng(1).random((3, 64, 64)))
-        assert fp.c3.shape == (1, 16, 8, 8)
-        assert fp.c4.shape == (1, 32, 4, 4)
-        assert fp.c5.shape == (1, 64, 2, 2)
+        c3, c4, c5 = bb.forward(np.random.default_rng(1).random((3, 64, 64)))
+        assert c3.shape == (16, 8, 8)
+        assert c4.shape == (32, 4, 4)
+        assert c5.shape == (64, 2, 2)
 
     def test_zero_weights_zero_features(self):
         bb = ToyBackbone((16, 32, 64))
         for p in bb.params():
             p.value[:] = 0.0
-        fp = bb.forward(np.random.default_rng(2).random((3, 64, 64)))
-        assert_allclose(fp.c3, 0.0)
-        assert_allclose(fp.c5, 0.0)
+        c3, _, c5 = bb.forward(np.random.default_rng(2).random((3, 64, 64)))
+        assert_allclose(c3, 0.0)
+        assert_allclose(c5, 0.0)
 
     def test_indivisible_extents_rejected(self):
         bb = ToyBackbone((16, 32, 64))
@@ -43,19 +43,19 @@ class TestToyBackbone:
 class TestSPP:
     def test_channel_multiplication(self):
         spp = SPP()
-        y = spp.forward(np.zeros((1, 8, 4, 4)))
-        assert y.shape == (1, 32, 4, 4)
+        y = spp.forward(np.zeros((8, 4, 4)))
+        assert y.shape == (32, 4, 4)
 
     def test_constant_preserved(self):
         spp = SPP()
-        y = spp.forward(np.full((1, 2, 6, 6), 1.25))
+        y = spp.forward(np.full((2, 6, 6), 1.25))
         assert_allclose(y, 1.25)
 
     def test_branches_match_max_pool_oracle(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((1, 3, 8, 8))
+        x = rng.standard_normal((3, 8, 8))
         y = SPP().forward(x)
-        parts = ops.split_axis(y, 1, [3, 3, 3, 3])
+        parts = ops.split_axis(y, 0, [3, 3, 3, 3])
         assert_allclose(parts[0], x)
         for k, part in zip((5, 9, 13), parts[1:]):
             assert_allclose(part, ops.max_pool2d(x, k))
@@ -69,34 +69,34 @@ class TestCSPLayer:
     def test_shape_preservation(self):
         rng = np.random.default_rng(5)
         layer = CSPLayer(16, 8, rng)
-        y = layer.forward(rng.standard_normal((1, 16, 6, 6)))
-        assert y.shape == (1, 8, 6, 6)
+        y = layer.forward(rng.standard_normal((16, 6, 6)))
+        assert y.shape == (8, 6, 6)
 
     def test_linear_configuration_matches_composed_conv_oracle(self):
         # with activations disabled the whole layer is one linear map,
         # reproducible by composing plain convolutions
         rng = np.random.default_rng(6)
         layer = CSPLayer(8, 8, rng, act=None)
-        x = rng.standard_normal((1, 8, 5, 5))
+        x = rng.standard_normal((8, 5, 5))
         y = layer.forward(x)
         a = x
         for stage in layer.branch_a.stages:
             if isinstance(stage, Conv2d):
                 a = ops.conv2d(a, stage.weight.value, stage.bias.value,
-                               stride=stage.stride, padding=stage.padding)
+                               stride=stage.stride, padding=stage.k // 2)
         b = x
         for seq in (layer.branch_b, layer.inner):
             for stage in (seq.stages if hasattr(seq, "stages") else [seq]):
                 for conv in (stage.stages if hasattr(stage, "stages") else [stage]):
                     if isinstance(conv, Conv2d):
                         b = ops.conv2d(b, conv.weight.value, conv.bias.value,
-                                       stride=conv.stride, padding=conv.padding,
+                                       stride=conv.stride, padding=conv.k // 2,
                                        groups=conv.groups)
-        merged = np.concatenate([a, b], axis=1)
+        merged = np.concatenate([a, b], axis=0)
         for stage in layer.merge.stages:
             if isinstance(stage, Conv2d):
                 merged = ops.conv2d(merged, stage.weight.value, stage.bias.value,
-                                    stride=stage.stride, padding=stage.padding)
+                                    stride=stage.stride, padding=stage.k // 2)
         assert_allclose(y, merged, atol=1e-12)
 
     @pytest.mark.parametrize("width", [32, 64, 128, 256])
@@ -115,62 +115,57 @@ class TestCSPLayer:
 
 class TestNeck:
     def _fp(self, rng, widths=(16, 32, 64)):
-        return (rng.standard_normal((1, widths[0], 8, 8)),
-                rng.standard_normal((1, widths[1], 4, 4)),
-                rng.standard_normal((1, widths[2], 2, 2)))
+        return (rng.standard_normal((widths[0], 8, 8)),
+                rng.standard_normal((widths[1], 4, 4)),
+                rng.standard_normal((widths[2], 2, 2)))
 
     def test_output_strides_preserved(self):
         rng = np.random.default_rng(9)
         neck = Neck((16, 32, 64), rng, ca_ratio=4)
-        from tridet.neck import FeaturePyramid
-        out = neck.forward(FeaturePyramid(*self._fp(rng)))
-        assert out.c3.shape == (1, 8, 8, 8)
-        assert out.c4.shape == (1, 16, 4, 4)
-        assert out.c5.shape == (1, 32, 2, 2)
+        p3, p4, p5 = neck.forward(*self._fp(rng))
+        assert p3.shape == (8, 8, 8)
+        assert p4.shape == (16, 4, 4)
+        assert p5.shape == (32, 2, 2)
 
     def test_upsample_doubles_extents(self):
         from tridet.layers import UpsampleNearest2x
-        x = np.arange(4.0).reshape(1, 1, 2, 2)
+        x = np.arange(4.0).reshape(1, 2, 2)
         y = UpsampleNearest2x().forward(x)
-        assert y.shape == (1, 1, 4, 4)
-        assert_allclose(y[0, 0, :2, :2], x[0, 0, 0, 0])
+        assert y.shape == (1, 4, 4)
+        assert_allclose(y[0, :2, :2], x[0, 0, 0])
 
     def test_csp_toggle_reduces_params_same_shapes(self):
         rng = np.random.default_rng(10)
-        from tridet.neck import FeaturePyramid
         plain = Neck((16, 32, 64), np.random.default_rng(0), 4, csp_enabled=False)
         csp = Neck((16, 32, 64), np.random.default_rng(0), 4, csp_enabled=True)
         assert count_params(csp)[1] < count_params(plain)[1]
-        fp = FeaturePyramid(*self._fp(rng))
-        out_a = plain.forward(fp)
-        out_b = csp.forward(fp)
+        fp = self._fp(rng)
+        out_a = plain.forward(*fp)
+        out_b = csp.forward(*fp)
         for a, b in zip(out_a, out_b):
             assert a.shape == b.shape
 
     def test_deterministic_forward(self):
         rng = np.random.default_rng(11)
-        from tridet.neck import FeaturePyramid
         neck = Neck((16, 32, 64), np.random.default_rng(1), 4)
-        fp = FeaturePyramid(*self._fp(rng))
-        a = neck.forward(fp)
-        b = neck.forward(fp)
-        assert (a.c3 == b.c3).all() and (a.c5 == b.c5).all()
+        fp = self._fp(rng)
+        a = neck.forward(*fp)
+        b = neck.forward(*fp)
+        assert (a[0] == b[0]).all() and (a[2] == b[2]).all()
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(12)
-        from tridet.neck import FeaturePyramid
         neck = Neck((4, 8, 16), np.random.default_rng(2), ca_ratio=2)
-        c3 = rng.standard_normal((1, 4, 4, 4))
-        c4 = rng.standard_normal((1, 8, 2, 2))
-        c5 = rng.standard_normal((1, 16, 1, 1))
-        r3 = rng.standard_normal((1, 2, 4, 4))
-        r4 = rng.standard_normal((1, 4, 2, 2))
-        r5 = rng.standard_normal((1, 8, 1, 1))
+        c3 = rng.standard_normal((4, 4, 4))
+        c4 = rng.standard_normal((8, 2, 2))
+        c5 = rng.standard_normal((16, 1, 1))
+        r3 = rng.standard_normal((2, 4, 4))
+        r4 = rng.standard_normal((4, 2, 2))
+        r5 = rng.standard_normal((8, 1, 1))
 
         def loss(a3, a4, a5):
-            out = neck.forward(FeaturePyramid(a3, a4, a5))
-            return float((out.c3 * r3).sum() + (out.c4 * r4).sum()
-                         + (out.c5 * r5).sum())
+            p3, p4, p5 = neck.forward(a3, a4, a5)
+            return float((p3 * r3).sum() + (p4 * r4).sum() + (p5 * r5).sum())
 
         loss(c3, c4, c5)
         neck.zero_grad()

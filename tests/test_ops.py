@@ -9,71 +9,88 @@ from tridet import ops
 
 
 def naive_conv2d(x, w, b, stride=1, padding=0):
-    n, cin, h, ww = x.shape
+    cin, h, ww = x.shape
     cout, _, kh, kw = w.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (ww + 2 * padding - kw) // stride + 1
-    xp = np.zeros((n, cin, h + 2 * padding, ww + 2 * padding))
-    xp[:, :, padding: padding + h, padding: padding + ww] = x
-    out = np.zeros((n, cout, oh, ow))
-    for ni in range(n):
-        for co in range(cout):
-            for i in range(oh):
-                for j in range(ow):
-                    acc = 0.0
-                    for ci in range(cin):
-                        for u in range(kh):
-                            for v in range(kw):
-                                acc += xp[ni, ci, i * stride + u, j * stride + v] \
-                                    * w[co, ci, u, v]
-                    out[ni, co, i, j] = acc + (b[co] if b is not None else 0.0)
+    xp = np.zeros((cin, h + 2 * padding, ww + 2 * padding))
+    xp[:, padding: padding + h, padding: padding + ww] = x
+    out = np.zeros((cout, oh, ow))
+    for co in range(cout):
+        for i in range(oh):
+            for j in range(ow):
+                acc = 0.0
+                for ci in range(cin):
+                    for u in range(kh):
+                        for v in range(kw):
+                            acc += xp[ci, i * stride + u, j * stride + v] \
+                                * w[co, ci, u, v]
+                out[co, i, j] = acc + (b[co] if b is not None else 0.0)
     return out
 
 
 class TestConv2d:
     def test_identity_1x1(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((1, 4, 5, 5))
+        x = rng.standard_normal((4, 5, 5))
         w = np.eye(4).reshape(4, 4, 1, 1)
         assert_allclose(ops.conv2d(x, w, np.zeros(4)), x)
 
     def test_constant_field_all_ones_kernel(self):
-        x = np.full((1, 1, 6, 6), 3.0)
+        x = np.full((1, 6, 6), 3.0)
         w = np.ones((1, 1, 3, 3))
         y = ops.conv2d(x, w, None, padding=1)
-        assert_allclose(y[0, 0, 1:-1, 1:-1], 27.0)
+        assert_allclose(y[0, 1:-1, 1:-1], 27.0)
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 3, 5, 5))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        assert_allclose(ops.conv2d(x, w, b, stride=2, padding=1),
-                        naive_conv2d(x, w, b, stride=2, padding=1),
-                        atol=1e-12)
+        for xi in x:
+            assert_allclose(ops.conv2d(xi, w, b, stride=2, padding=1),
+                            naive_conv2d(xi, w, b, stride=2, padding=1),
+                            atol=1e-12)
 
     def test_input_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 5, 5))
         w = rng.standard_normal((2, 3, 3, 3))
-        r = rng.standard_normal(ops.conv2d(x, w, None, padding=1).shape)
-        gx, _, _ = ops.conv2d_backward(x, w, r, padding=1, with_bias=False)
-        fd = ops.finite_diff_grad(
-            lambda v: (ops.conv2d(v, w, None, padding=1) * r).sum(), x)
-        assert ops.relative_error(gx, fd) < 1e-6
+        rs = rng.standard_normal((2, 2, 5, 5))
+        for xi, r in zip(x, rs):
+            gx, _, _ = ops.conv2d_backward(xi, w, r, padding=1)
+            fd = ops.finite_diff_grad(
+                lambda v: (ops.conv2d(v, w, None, padding=1) * r).sum(), xi)
+            assert ops.relative_error(gx, fd) < 1e-6
 
     def test_depthwise_identity(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 6, 4, 4))
+        x = rng.standard_normal((6, 4, 4))
         w = np.ones((6, 1, 1, 1))
         y = ops.conv2d(x, w, None, groups=6)
         assert_allclose(y, x)
 
     def test_shape_error_names_dimension(self):
-        x = np.zeros((1, 3, 5, 5))
+        x = np.zeros((3, 5, 5))
         w = np.zeros((4, 2, 3, 3))
-        with pytest.raises(ops.ShapeError):
+        with pytest.raises(ops.ShapeError, match="2 input channels, input has 3"):
             ops.conv2d(x, w, None)
+
+
+@pytest.mark.parametrize("kernel", ["conv2d", "conv2d_backward", "max_pool2d",
+                                    "directional_pool"])
+def test_batched_input_rejected_naming_rank(kernel):
+    x = np.zeros((1, 3, 5, 5))
+    w = np.zeros((2, 3, 3, 3))
+    call = {
+        "conv2d": lambda: ops.conv2d(x, w, None, padding=1),
+        "conv2d_backward": lambda: ops.conv2d_backward(
+            x, w, np.zeros((2, 5, 5)), padding=1),
+        "max_pool2d": lambda: ops.max_pool2d(x, 3),
+        "directional_pool": lambda: ops.directional_pool(x),
+    }[kernel]
+    with pytest.raises(ops.ShapeError, match="rank-3 .* got rank 4"):
+        call()
 
 
 class TestFullyConnected:
@@ -102,54 +119,54 @@ class TestFullyConnected:
 
 class TestMaxPool:
     def test_constant_input(self):
-        x = np.full((1, 2, 5, 5), 1.5)
+        x = np.full((2, 5, 5), 1.5)
         assert_allclose(ops.max_pool2d(x, 3), x)
 
     def test_spike_spreads_to_3x3_block(self):
-        x = np.zeros((1, 1, 5, 5))
-        x[0, 0, 2, 2] = 5.0
+        x = np.zeros((1, 5, 5))
+        x[0, 2, 2] = 5.0
         y = ops.max_pool2d(x, 3)
-        assert_allclose(y[0, 0, 1:4, 1:4], 5.0)
-        assert y[0, 0, 0, 0] == 0.0
+        assert_allclose(y[0, 1:4, 1:4], 5.0)
+        assert y[0, 0, 0] == 0.0
 
     def test_matches_window_scan(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((1, 1, 7, 7))
+        x = rng.standard_normal((1, 7, 7))
         y = ops.max_pool2d(x, 5)
         for i in range(7):
             for j in range(7):
-                win = x[0, 0, max(0, i - 2): i + 3, max(0, j - 2): j + 3]
-                assert y[0, 0, i, j] == win.max()
+                win = x[0, max(0, i - 2): i + 3, max(0, j - 2): j + 3]
+                assert y[0, i, j] == win.max()
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ops.ShapeError):
-            ops.max_pool2d(np.zeros((1, 1, 4, 4)), 4)
+            ops.max_pool2d(np.zeros((1, 4, 4)), 4)
 
 
 class TestPooling:
     def test_directional_pool_hand_values(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         q_h, q_w = ops.directional_pool(x)
-        assert_allclose(q_h[0, 0, :, 0], [1.5, 3.5])
-        assert_allclose(q_w[0, 0, 0, :], [2.0, 3.0])
+        assert_allclose(q_h[0, :, 0], [1.5, 3.5])
+        assert_allclose(q_w[0, 0, :], [2.0, 3.0])
 
     def test_directional_pool_constant(self):
-        x = np.full((1, 3, 4, 5), 2.0)
+        x = np.full((3, 4, 5), 2.0)
         q_h, q_w = ops.directional_pool(x)
         assert_allclose(q_h, 2.0)
         assert_allclose(q_w, 2.0)
 
     def test_directional_pool_matches_naive_loop(self):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((1, 3, 4, 5))
+        x = rng.standard_normal((3, 4, 5))
         q_h, q_w = ops.directional_pool(x)
         for c in range(3):
             for i in range(4):
-                assert_allclose(q_h[0, c, i, 0],
-                                sum(x[0, c, i, j] for j in range(5)) / 5)
+                assert_allclose(q_h[c, i, 0],
+                                sum(x[c, i, j] for j in range(5)) / 5)
             for j in range(5):
-                assert_allclose(q_w[0, c, 0, j],
-                                sum(x[0, c, i, j] for i in range(4)) / 4)
+                assert_allclose(q_w[c, 0, j],
+                                sum(x[c, i, j] for i in range(4)) / 4)
 
 
 class TestBilinearSample:
@@ -245,36 +262,36 @@ class TestActivations:
 class TestBatchNorm:
     def test_identity_statistics(self):
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((1, 3, 2, 2))
+        x = rng.standard_normal((3, 2, 2))
         y = ops.batchnorm_inference(x, np.ones(3), np.zeros(3),
                                     np.zeros(3), np.ones(3))
         assert_allclose(y, x, rtol=1e-5, atol=1e-5)
 
     def test_zero_scale_gives_shift(self):
-        x = np.random.default_rng(13).standard_normal((1, 2, 3, 3))
+        x = np.random.default_rng(13).standard_normal((2, 3, 3))
         shift = np.array([0.5, -0.5])
         y = ops.batchnorm_inference(x, np.zeros(2), shift,
                                     np.zeros(2), np.ones(2))
-        assert_allclose(y[0, 0], 0.5)
-        assert_allclose(y[0, 1], -0.5)
+        assert_allclose(y[0], 0.5)
+        assert_allclose(y[1], -0.5)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((2, 3, 2, 2))
         scale, shift, mean = (rng.standard_normal(3) for _ in range(3))
         var = rng.uniform(0.5, 2.0, 3)
-        y = ops.batchnorm_inference(x, scale, shift, mean, var)
         for n in range(2):
+            y = ops.batchnorm_inference(x[n], scale, shift, mean, var)
             for c in range(3):
                 for i in range(2):
                     for j in range(2):
                         ref = (x[n, c, i, j] - mean[c]) / np.sqrt(var[c] + 1e-5) \
                             * scale[c] + shift[c]
-                        assert_allclose(y[n, c, i, j], ref)
+                        assert_allclose(y[c, i, j], ref)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            ops.batchnorm_inference(np.zeros((1, 1, 2, 2)), np.ones(1),
+            ops.batchnorm_inference(np.zeros((1, 2, 2)), np.ones(1),
                                     np.zeros(1), np.zeros(1), np.array([-1.0]))
 
 
@@ -317,10 +334,9 @@ class TestFiniteDiff:
 
     def test_conv_composite_self_consistency(self):
         rng = np.random.default_rng(19)
-        x = rng.standard_normal((1, 2, 4, 4))
+        x = rng.standard_normal((2, 4, 4))
         w = rng.standard_normal((3, 2, 3, 3))
-        gx, _, _ = ops.conv2d_backward(
-            x, w, np.ones((1, 3, 4, 4)), padding=1, with_bias=False)
+        gx, _, _ = ops.conv2d_backward(x, w, np.ones((3, 4, 4)), padding=1)
         fd = ops.finite_diff_grad(
             lambda v: ops.conv2d(v, w, None, padding=1).sum(), x)
         assert ops.relative_error(gx, fd) < 1e-6
