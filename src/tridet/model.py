@@ -150,17 +150,26 @@ def load_weights(model: Model, path):
     # read every payload before assigning any, so a bad file leaves the
     # model untouched
     staged = []
+    start = off
     for name, _, shape, nbytes in manifest:
         if off + nbytes > len(data):
             raise WeightFileError(
                 f"truncated payload for {name!r} at byte {off}")
         arr = np.frombuffer(data[off: off + nbytes], dtype="<f4").reshape(shape)
-        staged.append((known[name], arr.astype(np.float64)))
+        staged.append((name, arr))
         off += nbytes
     if off != len(data):
         raise WeightFileError(
             f"{len(data) - off} trailing bytes after the last payload at byte {off}")
-    for p, value in staged:
-        p.value = value
-        p.grad = np.zeros_like(value)
+    # one check covers every payload; a failure then names the tensor
+    if not np.isfinite(np.frombuffer(data, dtype="<f4", offset=start)).all():
+        for name, arr in staged:
+            bad = arr.size - np.count_nonzero(np.isfinite(arr))
+            if bad:
+                raise WeightFileError(
+                    f"payload for {name!r} holds {bad} non-finite value(s)")
+    for name, arr in staged:
+        p = known[name]
+        p.value = arr.astype(np.float64)
+        p.grad = np.zeros_like(p.value)
     return model

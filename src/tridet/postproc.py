@@ -12,6 +12,8 @@ import numpy as np
 from . import ops
 
 P_CLAMP = 1e-7
+# rows of one class that `diou_nms` meets with the rest of the class at once
+NMS_BLOCK = 16
 
 
 @dataclass
@@ -137,9 +139,14 @@ def diou_nms(dets, threshold=0.45):
     index breaks ties), drop candidates whose distance-IoU with a kept
     detection of the same class exceeds the threshold.
 
-    Each kept box meets all later ones in one vector DIoU in `diou`'s
-    operation order. `diou` squares with `**`, which libm may round one
-    ulp off `x * x`, so values within 1e-9 of the threshold use `diou`."""
+    Suppression never crosses classes, so each class is walked on its
+    own, in rank order, NMS_BLOCK alive rows at a time. One vector DIoU,
+    in `diou`'s operation order, meets those rows with every later row
+    of the class. The block is then resolved in rank order: a row that is
+    still alive is kept and drops the later rows above the threshold, a
+    row dropped by an earlier one in the block drops nothing. `diou`
+    squares with `**`, which libm may round one ulp off `x * x`, so
+    values within 1e-9 of the threshold use `diou`."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     ranked = [dets[i] for i in order]
     n = len(ranked)
@@ -148,42 +155,62 @@ def diou_nms(dets, threshold=0.45):
     cls = np.array([d.class_id for d in ranked])
     ctr, half, area = b[:2], b[2:] / 2, b[2] * b[3]
     lo, hi = ctr - half, ctr + half
-    # per-row temporaries, allocated once: [iw, ih], [cw, ch], [dx, dy]
-    inner, outer, dist = np.empty((3, 2, n))
-    union, val, tmp = np.empty((3, n))
-    flag = np.empty((2, n), dtype=bool)
+    # ranked positions of each class, in rank order
+    segments = [np.flatnonzero(cls == c) for c in set(cls.tolist())]
+    width = max(map(len, segments), default=0)
+    # block temporaries, allocated once and viewed as contiguous k x w
+    # planes: two pairs of x/y planes and the DIoU values
+    planes = np.empty((5, NMS_BLOCK * width))
+    flags = np.empty(NMS_BLOCK * width, dtype=bool)
     alive = np.ones(n, dtype=bool)
-    for k in range(n):
-        if not alive[k]:
-            continue
-        s, m = slice(k + 1, n), n - k - 1
-        i2, o2, d2, f2 = inner[:, :m], outer[:, :m], dist[:, :m], flag[:, :m]
-        u, v, t = union[:m], val[:m], tmp[:m]
-        np.subtract(np.minimum(hi[:, s], hi[:, k, None], out=i2),
-                    np.maximum(lo[:, s], lo[:, k, None], out=d2), out=i2)
-        np.subtract(np.maximum(hi[:, s], hi[:, k, None], out=o2),
-                    np.minimum(lo[:, s], lo[:, k, None], out=d2), out=o2)
-        # IoU: a clamped iw or ih gives inter = 0, so IoU 0, as in `iou`
-        np.multiply(*np.maximum(i2, 0.0, out=i2), out=t)
-        np.subtract(np.add(area[k], area[s], out=u), t, out=u)
-        v.fill(0.0)
-        np.divide(t, u, out=v, where=np.greater(u, 0.0, out=f2[0]))
-        # minus rho2 / c2 where c2 > 0
-        np.multiply(o2, o2, out=o2)
-        np.add(o2[0], o2[1], out=o2[0])
-        np.subtract(ctr[:, k, None], ctr[:, s], out=d2)
-        np.multiply(d2, d2, out=d2)
-        np.add(d2[0], d2[1], out=d2[0])
-        t.fill(0.0)
-        np.divide(d2[0], o2[0], out=t, where=np.greater(o2[0], 0.0, out=f2[0]))
-        np.subtract(v, t, out=v)
-        np.abs(np.subtract(v, threshold, out=t), out=t)
-        for j in np.flatnonzero(np.less(t, 1e-9, out=f2[0])):
-            v[j] = diou(ranked[k].box, ranked[k + 1 + j].box)
-        # suppress same-class boxes above the threshold
-        np.logical_or(np.less_equal(v, threshold, out=f2[0]),
-                      np.not_equal(cls[s], cls[k], out=f2[1]), out=f2[0])
-        np.logical_and(alive[s], f2[0], out=alive[s])
+    for seg in segments:
+        m = len(seg)
+        c_ctr, c_area, c_lo, c_hi = ctr[:, seg], area[seg], lo[:, seg], hi[:, seg]
+        live = np.ones(m, dtype=bool)
+        start = 0
+        while start < m - 1:
+            rows = np.flatnonzero(live[start:])[:NMS_BLOCK] + start
+            if not len(rows):
+                break
+            r0, k = rows[0], len(rows)
+            s, w = slice(r0 + 1, m), m - r0 - 1
+            block = planes[:, :k * w].reshape(5, k, w)
+            p2, q2, v = block[0:2], block[2:4], block[4]
+            f = flags[:k * w].reshape(k, w)
+            np.subtract(np.minimum(c_hi[:, None, s], c_hi[:, rows, None], out=p2),
+                        np.maximum(c_lo[:, None, s], c_lo[:, rows, None], out=q2),
+                        out=p2)
+            # IoU: a clamped iw or ih gives inter = 0, so IoU 0, as in `iou`
+            inter, union = q2
+            np.multiply(*np.maximum(p2, 0.0, out=p2), out=inter)
+            np.subtract(np.add(c_area[rows, None], c_area[None, s], out=union),
+                        inter, out=union)
+            v.fill(0.0)
+            np.divide(inter, union, out=v, where=np.greater(union, 0.0, out=f))
+            # minus rho2 / c2 where c2 > 0
+            np.subtract(np.maximum(c_hi[:, None, s], c_hi[:, rows, None], out=p2),
+                        np.minimum(c_lo[:, None, s], c_lo[:, rows, None], out=q2),
+                        out=p2)
+            np.multiply(p2, p2, out=p2)
+            c2, t = p2
+            np.add(c2, t, out=c2)
+            np.subtract(c_ctr[:, rows, None], c_ctr[:, None, s], out=q2)
+            np.multiply(q2, q2, out=q2)
+            rho2 = np.add(*q2, out=q2[0])
+            t.fill(0.0)
+            np.divide(rho2, c2, out=t, where=np.greater(c2, 0.0, out=f))
+            np.subtract(v, t, out=v)
+            np.abs(np.subtract(v, threshold, out=t), out=t)
+            for i, j in zip(*np.nonzero(np.less(t, 1e-9, out=f))):
+                v[i, j] = diou(ranked[seg[rows[i]]].box,
+                               ranked[seg[r0 + 1 + j]].box)
+            # a kept row drops the later rows of its class above the threshold
+            np.less_equal(v, threshold, out=f)
+            for i, r in enumerate(rows.tolist()):
+                if live[r]:
+                    np.logical_and(live[r + 1:], f[i, r - r0:], out=live[r + 1:])
+            start = rows[-1] + 1
+        alive[seg] = live
     return [d for d, keep in zip(ranked, alive) if keep]
 
 
@@ -259,11 +286,20 @@ def decode_predictions(raw, anchors, stride, conf_threshold, num_classes):
         cx = (ops.sigmoid(t[0]) + jj) * stride
         cy = (ops.sigmoid(t[1]) + ii) * stride
         # math.exp, not np.exp: numpy's SIMD exp may round differently
-        for x, y, tw, th, c, p in zip(cx.tolist(), cy.tolist(), *t[2:].tolist(),
-                                      cls.argmax(axis=0)[ii, jj].tolist(),
-                                      score[ii, jj].tolist()):
-            dets.append(Detection(
-                Box(x, y, aw * math.exp(tw), ah * math.exp(th)), c, p))
+        first = len(dets)
+        try:
+            for x, y, tw, th, c, p in zip(cx.tolist(), cy.tolist(),
+                                          *t[2:].tolist(),
+                                          cls.argmax(axis=0)[ii, jj].tolist(),
+                                          score[ii, jj].tolist()):
+                dets.append(Detection(
+                    Box(x, y, aw * math.exp(tw), ah * math.exp(th)), c, p))
+        except OverflowError:
+            k = len(dets) - first
+            logit = float(np.nanmax(t[2:, k]))
+            raise ValueError(
+                f"extent logit {logit!r} at stride {stride}, anchor {a}, "
+                f"cell ({ii[k]}, {jj[k]}) overflows exp") from None
     return dets
 
 

@@ -80,10 +80,17 @@ class TestWeights:
         ("trailing", "4 trailing bytes"),
         ("duplicate", "duplicate tensor name"),
         ("bad_name", "tensor name at byte 10 is not UTF-8"),
+        ("nan", "payload for 'heads.0.conv1.bias' holds 1 non-finite value"),
+        ("inf", "payload for 'heads.0.conv1.bias' holds 2 non-finite value"),
     ])
     def test_bad_file_leaves_model_unchanged(self, tmp_path, fault, match):
         source = build_model(toy_cfg())
         pairs = list(source.named_params())
+        bias = dict(pairs)["heads.0.conv1.bias"].value
+        if fault == "nan":
+            bias[3] = np.nan
+        elif fault == "inf":
+            bias[[1, 4]] = np.inf, -np.inf
         if fault == "duplicate":
             pairs.append(pairs[0])
         path = tmp_path / "w.bin"
@@ -235,6 +242,30 @@ class TestCli:
                        str(tmp_path / "nan.ppm")])
         assert rc != 0
         assert capsys.readouterr().err == f"error: {msg}\n"
+
+    @pytest.mark.parametrize("value, msg", [
+        (np.nan, "payload for 'heads.0.conv1.bias' holds 1 non-finite "
+                 "value(s)"),
+        (800.0, "extent logit 800.0 at stride 8, anchor 0, cell (0, 0) "
+                "overflows exp"),
+    ])
+    def test_run_bad_head_bias_one_line_error(self, tmp_path, capsys, value,
+                                              msg):
+        cfg = toy_cfg()
+
+        def edit(model):
+            # anchor 0 at stride 8: confident everywhere, width logit `value`
+            bias = model.heads[0].conv1.bias.value
+            bias[[2, 4, 5]] = value, 6.0, 6.0
+
+        img_path = str(tmp_path / "img.ppm")
+        write_ppm(img_path, np.random.default_rng(6).random((3, 32, 32)))
+        rc = cli.main(["run", self._write_cfg(tmp_path, cfg),
+                       self._zero_weights(tmp_path, cfg, edit), img_path])
+        assert rc != 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {msg}\n"
 
     def test_gradcheck_command(self, capsys):
         assert cli.main(["gradcheck", "--module", "tensor-core",

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tridet import ops
-from tridet.postproc import (Box, Detection, LossConfig, assign_targets,
-                             decode_predictions, detection_loss, diou,
-                             diou_grad, diou_nms, focal_loss,
-                             focal_loss_grad_p, format_detection, iou,
-                             label_smooth)
+from tridet.postproc import (NMS_BLOCK, Box, Detection, LossConfig,
+                             assign_targets, decode_predictions,
+                             detection_loss, diou, diou_grad, diou_nms,
+                             focal_loss, focal_loss_grad_p, format_detection,
+                             iou, label_smooth)
 
 
 def random_box(rng, span=10.0):
@@ -188,6 +188,33 @@ class TestDIoUNMS:
         threshold = min(by_product, diou(a, b))
         dets = [Detection(a, 0, 0.9), Detection(b, 0, 0.8)]
         assert diou_nms(dets, threshold) == brute_force_nms(dets, threshold)
+
+    def test_chain_across_blocks_keeps_every_other_box(self):
+        # neighbours 0.5 apart have DIoU 0.58, boxes 1.0 apart 0.30: box
+        # 2i + 1 falls to box 2i only, so a dropped row that still drops
+        # rows would take box 2i + 2 with it
+        n = 3 * NMS_BLOCK + 1
+        dets = [Detection(Box(0.5 * i, 0.0, 2.0, 2.0), 0, 1.0 - i / n)
+                for i in range(n)]
+        assert diou(dets[0].box, dets[1].box) > 0.45
+        assert diou(dets[0].box, dets[2].box) <= 0.45
+        shuffled = [dets[i] for i in np.random.default_rng(0).permutation(n)]
+        assert diou_nms(shuffled, 0.45) == dets[::2]
+
+    @pytest.mark.parametrize("n", [0, 1, NMS_BLOCK - 1, NMS_BLOCK,
+                                   NMS_BLOCK + 1, 2 * NMS_BLOCK + 1])
+    @pytest.mark.parametrize("threshold", [0.0, 0.45, 0.9])
+    def test_one_class_at_block_sizes(self, n, threshold):
+        for seed in range(5):
+            rng = np.random.default_rng([n, seed])
+            dets = [Detection(random_box(rng, 20.0), 0,
+                              float(rng.choice([0.5, rng.uniform(0, 1)])))
+                    for _ in range(n - n // 3)]
+            # exact copies, some with the same score
+            for i in rng.integers(0, len(dets), n // 3):
+                dets.append(Detection(dets[i].box, 0,
+                                      float(rng.choice([dets[i].score, 0.7]))))
+            assert diou_nms(dets, threshold) == brute_force_nms(dets, threshold)
 
     def test_subset_order_idempotent(self):
         rng = np.random.default_rng(3)
