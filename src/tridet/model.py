@@ -4,6 +4,7 @@ image -> raw-predictions forward/backward pair."""
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -128,9 +129,11 @@ def load_weights(model: Model, path):
             manifest.append((name, dtype, shape, nbytes))
     except struct.error as e:
         raise WeightFileError(f"truncated manifest at byte {off}: {e}") from e
-    names = [m[0] for m in manifest]
+    seen, dups = set(), set()
+    for name, *_ in manifest:
+        (dups if name in seen else seen).add(name)
     for name, dtype, shape, nbytes in manifest:
-        if names.count(name) > 1:
+        if name in dups:
             raise WeightFileError(f"duplicate tensor name {name!r} in manifest")
         if name not in known:
             raise WeightFileError(f"unknown tensor name {name!r} in manifest")
@@ -140,11 +143,11 @@ def load_weights(model: Model, path):
             raise WeightFileError(
                 f"shape {tuple(shape)} for {name!r} disagrees with model "
                 f"shape {known[name].value.shape}")
-        if nbytes != int(np.prod(shape, dtype=np.int64)) * 4:
+        if nbytes != math.prod(shape) * 4:
             raise WeightFileError(
                 f"manifest byte length {nbytes} for {name!r} does not match "
                 f"shape {tuple(shape)}")
-    missing = set(known) - set(names)
+    missing = set(known) - seen
     if missing:
         raise WeightFileError(f"manifest is missing tensors: {sorted(missing)}")
     # read every payload before assigning any, so a bad file leaves the

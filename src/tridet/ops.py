@@ -45,6 +45,10 @@ def _check_conv_args(x, weight, stride, padding, groups):
     _check_map("conv2d", x)
     if weight.ndim != 4:
         raise ShapeError(f"conv2d weight must be rank-4, got rank {weight.ndim}")
+    if stride < 1:
+        raise ShapeError(f"conv2d stride must be >= 1, got stride={stride}")
+    if padding < 0:
+        raise ShapeError(f"conv2d padding must be >= 0, got padding={padding}")
     cin, h, w = x.shape
     cout, cin_g, kh, kw = weight.shape
     if cin % groups or cout % groups:
@@ -59,16 +63,30 @@ def _check_conv_args(x, weight, stride, padding, groups):
     return cin, h, w, cout, kh, kw, ho, wo
 
 
+def _zero_pad(x, padding):
+    """x framed by `padding` zeros on each spatial side; x itself if 0."""
+    if padding == 0:
+        return x
+    c, h, w = x.shape
+    xp = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    xp[:, padding: padding + h, padding: padding + w] = x
+    return xp
+
+
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     """Standard 2-D cross-correlation.
 
     x: [Cin, H, W], weight: [Cout, Cin/groups, kH, kW], bias: [Cout].
+
+    The sum runs tap by tap, one einsum per (u, v).  A single im2col
+    matmul would be faster but sums in another order, and the `run`
+    output must stay byte-identical to the stored digests.
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
     cin, h, w, cout, kh, kw, ho, wo = _check_conv_args(
         x, weight, stride, padding, groups)
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    xp = _zero_pad(x, padding)
     cg = cin // groups
     og = cout // groups
     wg = weight.reshape(groups, og, cg, kh, kw)
@@ -89,7 +107,14 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
 
 
 def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
-    """Gradients of conv2d w.r.t. input, weight and bias."""
+    """Gradients of conv2d w.r.t. input, weight and bias.
+
+    im2col: the k*k strided windows of the padded input are copied once
+    into cols [Cin, kH, kW, Ho, Wo].  Its rows, ordered (c, u, v) within
+    each group, line up with weight.reshape(groups, og, cg*kH*kW), so
+    gw = gy @ cols^T and gcols = W^T @ gy are one batched matmul over
+    groups each.  col2im then adds gcols back through the same windows.
+    """
     x = _as_f64(x)
     weight = _as_f64(weight)
     gy = _as_f64(gy)
@@ -97,21 +122,23 @@ def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
         x, weight, stride, padding, groups)
     if gy.shape != (cout, ho, wo):
         raise ShapeError(f"gy shape {gy.shape} != {(cout, ho, wo)}")
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    xp = _zero_pad(x, padding)
     cg = cin // groups
     og = cout // groups
-    wg = weight.reshape(groups, og, cg, kh, kw)
-    gyr = gy.reshape(groups, og, ho, wo)
-    gxp = np.zeros_like(xp)
-    gw = np.zeros_like(wg)
-    for u in range(kh):
-        for v in range(kw):
-            hsl = slice(u, u + stride * (ho - 1) + 1, stride)
-            wsl = slice(v, v + stride * (wo - 1) + 1, stride)
-            patch = xp[:, hsl, wsl].reshape(groups, cg, ho, wo)
-            gw[:, :, :, u, v] += np.einsum("gohw,gchw->goc", gyr, patch)
-            gpatch = np.einsum("gohw,goc->gchw", gyr, wg[:, :, :, u, v])
-            gxp[:, hsl, wsl] += gpatch.reshape(cin, ho, wo)
+    taps = [(u, v, slice(u, u + stride * (ho - 1) + 1, stride),
+             slice(v, v + stride * (wo - 1) + 1, stride))
+            for u in range(kh) for v in range(kw)]
+    cols = np.empty((cin, kh, kw, ho, wo))
+    for u, v, hsl, wsl in taps:
+        cols[:, u, v] = xp[:, hsl, wsl]
+    cols = cols.reshape(groups, cg * kh * kw, ho * wo)
+    gyr = gy.reshape(groups, og, ho * wo)
+    gw = np.matmul(gyr, cols.transpose(0, 2, 1))
+    wg = weight.reshape(groups, og, cg * kh * kw)
+    gcols = np.matmul(wg.transpose(0, 2, 1), gyr).reshape(cin, kh, kw, ho, wo)
+    gxp = np.zeros(xp.shape)
+    for u, v, hsl, wsl in taps:
+        gxp[:, hsl, wsl] += gcols[:, u, v]
     gx = gxp[:, padding: padding + h, padding: padding + w]
     return gx, gw.reshape(cout, cg, kh, kw), gy.sum(axis=(1, 2))
 

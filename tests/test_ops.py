@@ -29,6 +29,30 @@ def naive_conv2d(x, w, b, stride=1, padding=0):
     return out
 
 
+def naive_conv2d_backward(x, w, gy, stride=1, padding=0, groups=1):
+    """Per-tap gradients of a grouped conv, two einsums per (u, v)."""
+    cin, h, ww = x.shape
+    cout, cg, kh, kw = w.shape
+    _, oh, ow = gy.shape
+    og = cout // groups
+    xp = np.zeros((cin, h + 2 * padding, ww + 2 * padding))
+    xp[:, padding: padding + h, padding: padding + ww] = x
+    wg = w.reshape(groups, og, cg, kh, kw)
+    gyr = gy.reshape(groups, og, oh, ow)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(wg)
+    for u in range(kh):
+        for v in range(kw):
+            hsl = slice(u, u + stride * (oh - 1) + 1, stride)
+            wsl = slice(v, v + stride * (ow - 1) + 1, stride)
+            patch = xp[:, hsl, wsl].reshape(groups, cg, oh, ow)
+            gw[:, :, :, u, v] += np.einsum("gohw,gchw->goc", gyr, patch)
+            gpatch = np.einsum("gohw,goc->gchw", gyr, wg[:, :, :, u, v])
+            gxp[:, hsl, wsl] += gpatch.reshape(cin, oh, ow)
+    gx = gxp[:, padding: padding + h, padding: padding + ww]
+    return gx, gw.reshape(w.shape), gy.sum(axis=(1, 2))
+
+
 class TestConv2d:
     def test_identity_1x1(self):
         rng = np.random.default_rng(0)
@@ -75,6 +99,44 @@ class TestConv2d:
         w = np.zeros((4, 2, 3, 3))
         with pytest.raises(ops.ShapeError, match="2 input channels, input has 3"):
             ops.conv2d(x, w, None)
+
+
+CIN = 4
+
+
+@pytest.mark.parametrize("hw", [(7, 7), (6, 8)], ids=["odd", "even"])
+@pytest.mark.parametrize("groups", [1, 2, CIN])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv2d_backward_matches_per_tap_oracle(k, stride, padding, groups, hw):
+    rng = np.random.default_rng(k * 100 + stride * 10 + padding + groups)
+    cout = 6 if groups != CIN else CIN
+    x = rng.standard_normal((CIN, *hw))
+    w = rng.standard_normal((cout, CIN // groups, k, k))
+    oh, ow = ops.conv2d_out_hw(*hw, k, k, stride, padding)
+    gy = rng.standard_normal((cout, oh, ow))
+    got = ops.conv2d_backward(x, w, gy, stride, padding, groups)
+    want = naive_conv2d_backward(x, w, gy, stride, padding, groups)
+    for name, g, r in zip(("gx", "gw", "gb"), got, want):
+        assert g.shape == r.shape, name
+        assert ops.relative_error(g, r) <= 1e-12, name
+
+
+@pytest.mark.parametrize("kernel", ["conv2d", "conv2d_backward"])
+@pytest.mark.parametrize("arg,value", [("stride", 0), ("stride", -1),
+                                       ("padding", -1)])
+def test_bad_stride_or_padding_rejected_by_name(kernel, arg, value):
+    x = np.zeros((2, 5, 5))
+    w = np.zeros((2, 2, 3, 3))
+    kw = {"stride": 1, "padding": 1, arg: value}
+    call = {
+        "conv2d": lambda: ops.conv2d(x, w, None, **kw),
+        "conv2d_backward": lambda: ops.conv2d_backward(
+            x, w, np.zeros((2, 5, 5)), **kw),
+    }[kernel]
+    with pytest.raises(ops.ShapeError, match=f"{arg}={value}"):
+        call()
 
 
 @pytest.mark.parametrize("kernel", ["conv2d", "conv2d_backward", "max_pool2d",
