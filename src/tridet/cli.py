@@ -4,6 +4,7 @@ the toy training loop, and a weight-file round-trip self-test."""
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -81,6 +82,8 @@ def cmd_train_toy(args):
     for flag, value in (("--steps", args.steps), ("--seed", args.seed)):
         if value < 0:
             raise ValueError(f"{flag} must be at least 0, got {value}")
+    if not 0 < args.lr < math.inf:
+        raise ValueError(f"--lr must be finite and above 0, got {args.lr}")
     cfg = _load_cfg(args.config)
     model = build_model(cfg)
     curve = train_toy(model, cfg, args.steps, args.seed, args.lr, log=print)

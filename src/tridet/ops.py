@@ -31,6 +31,11 @@ def _check_map(name, x):
         raise ShapeError(f"{name} expects a rank-3 C x H x W map, got rank {x.ndim}")
 
 
+def _check_vector(name, x):
+    if x.ndim != 1:
+        raise ShapeError(f"{name} expects a rank-1 vector, got rank {x.ndim}")
+
+
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
@@ -148,13 +153,14 @@ def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
 # ---------------------------------------------------------------------------
 
 def fully_connected(x, weight, bias):
-    """y = W x + b for a vector x, or row-wise for a [batch, d] matrix."""
+    """y = W x + b for a vector x."""
     x = _as_f64(x)
     weight = _as_f64(weight)
     bias = _as_f64(bias)
-    if x.shape[-1] != weight.shape[1]:
+    _check_vector("fully_connected", x)
+    if x.shape[0] != weight.shape[1]:
         raise ShapeError(
-            f"input length {x.shape[-1]} != weight inner extent {weight.shape[1]}")
+            f"input length {x.shape[0]} != weight inner extent {weight.shape[1]}")
     return x @ weight.T + bias
 
 
@@ -162,14 +168,8 @@ def fully_connected_backward(x, weight, gy):
     x = _as_f64(x)
     weight = _as_f64(weight)
     gy = _as_f64(gy)
-    gx = gy @ weight
-    if x.ndim == 1:
-        gw = np.outer(gy, x)
-        gb = gy.copy()
-    else:
-        gw = gy.T @ x
-        gb = gy.sum(axis=0)
-    return gx, gw, gb
+    _check_vector("fully_connected_backward", x)
+    return gy @ weight, np.outer(gy, x), gy.copy()
 
 
 # ---------------------------------------------------------------------------

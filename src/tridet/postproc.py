@@ -6,14 +6,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import ops
 
 P_CLAMP = 1e-7
-# rows of one class that `diou_nms` meets with the rest of the class at once
-NMS_BLOCK = 16
+# rows of one class that `diou_nms` meets with the later rows at once
+NMS_TILE = 64
 
 
 @dataclass
@@ -139,77 +140,75 @@ def diou_nms(dets, threshold=0.45):
     index breaks ties), drop candidates whose distance-IoU with a kept
     detection of the same class exceeds the threshold.
 
-    Suppression never crosses classes, so each class is walked on its
-    own, in rank order, NMS_BLOCK alive rows at a time. One vector DIoU,
-    in `diou`'s operation order, meets those rows with every later row
-    of the class. The block is then resolved in rank order: a row that is
-    still alive is kept and drops the later rows above the threshold, a
-    row dropped by an earlier one in the block drops nothing. `diou`
-    squares with `**`, which libm may round one ulp off `x * x`, so
-    values within 1e-9 of the threshold use `diou`."""
+    Each class is walked in rank order, NMS_TILE rows at a time. Broad
+    phase: four comparisons meet the tile's live rows with every later
+    row of the class in one boolean tile; its true cells are the pairs
+    (i, j), i before j. Narrow phase: DIoU on those pairs only, in
+    `diou`'s operation order. `diou` squares with `**`, which libm may
+    round one ulp off `x * x`, and its min and max treat NaN otherwise,
+    so pairs within 1e-9 of the threshold or with a NaN or infinite box
+    field ask `diou`. Greedy rule: the pairs come sorted by i, so a pair
+    above the threshold drops j while i is alive.
+
+    Exactness: a pair the broad phase skips lacks `iw > 0` and `ih > 0`,
+    so its IoU is 0 and its DIoU, vector or scalar, is 0 minus a ratio
+    of squares: at most 0, never above a threshold >= 0. For a negative
+    or NaN threshold, or coordinates large enough for a square to
+    overflow (inf / inf is NaN), every later row is a pair."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     ranked = [dets[i] for i in order]
     n = len(ranked)
-    b = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h)
-                  for d in ranked]).reshape(n, 4).T
+    fields = ((d.box.cx, d.box.cy, d.box.w, d.box.h) for d in ranked)
+    b = np.fromiter(chain.from_iterable(fields), float, 4 * n).reshape(n, 4).T
     cls = np.array([d.class_id for d in ranked])
-    ctr, half, area = b[:2], b[2:] / 2, b[2] * b[3]
-    lo, hi = ctr - half, ctr + half
-    # ranked positions of each class, in rank order
-    segments = [np.flatnonzero(cls == c) for c in set(cls.tolist())]
-    width = max(map(len, segments), default=0)
-    # block temporaries, allocated once and viewed as contiguous k x w
-    # planes: two pairs of x/y planes and the DIoU values
-    planes = np.empty((5, NMS_BLOCK * width))
-    flags = np.empty(NMS_BLOCK * width, dtype=bool)
+    # rows x0, y0, x1, y1 (corners), cx, cy, area
+    planes = np.vstack([b[:2] - b[2:] / 2, b[:2] + b[2:] / 2, b[:2],
+                        b[2] * b[3]])
+    # a difference of two corners or centers is at most 2 * big
+    big = float(np.abs(planes[:4]).max(initial=0.0))
+    every = not (threshold >= 0 and math.isfinite(8 * big * big))
     alive = np.ones(n, dtype=bool)
-    for seg in segments:
+    for c in set(cls.tolist()):
+        seg = np.flatnonzero(cls == c)
         m = len(seg)
-        c_ctr, c_area, c_lo, c_hi = ctr[:, seg], area[seg], lo[:, seg], hi[:, seg]
-        live = np.ones(m, dtype=bool)
-        start = 0
-        while start < m - 1:
-            rows = np.flatnonzero(live[start:])[:NMS_BLOCK] + start
-            if not len(rows):
-                break
-            r0, k = rows[0], len(rows)
-            s, w = slice(r0 + 1, m), m - r0 - 1
-            block = planes[:, :k * w].reshape(5, k, w)
-            p2, q2, v = block[0:2], block[2:4], block[4]
-            f = flags[:k * w].reshape(k, w)
-            np.subtract(np.minimum(c_hi[:, None, s], c_hi[:, rows, None], out=p2),
-                        np.maximum(c_lo[:, None, s], c_lo[:, rows, None], out=q2),
-                        out=p2)
+        cp = planes.take(seg, axis=1)
+        x0, y0, x1, y1 = cp[:4]
+        nonfinite = ~np.isfinite(b[:, seg]).all(axis=0)
+        live = [True] * m
+        for t in range(0, m - 1, NMS_TILE):
+            # live rows of t .. t + k - 1 against columns t + 1 .. m - 1
+            k, w = min(NMS_TILE, m - 1 - t), m - 1 - t
+            a = np.flatnonzero(live[t:t + k])
+            r, s = a + t, slice(t + 1, m)
+            if every:
+                hit = np.ones((len(a), w), dtype=bool)
+            else:
+                hit = np.greater(x1[r, None], x0[None, s])
+                hit &= np.less(x0[r, None], x1[None, s])
+                hit &= np.greater(y1[r, None], y0[None, s])
+                hit &= np.less(y0[r, None], y1[None, s])
+            # column c is rank t + 1 + c, later than row t + a from c = a on
+            hit[:, :k] &= a[:, None] <= np.arange(k)
+            i, j = np.divmod(np.flatnonzero(hit), w)
+            i, j = r[i], j + t + 1
+            pi, pj = cp.take(i, axis=1), cp.take(j, axis=1)
+            iwh = np.minimum(pj[2:4], pi[2:4]) - np.maximum(pj[:2], pi[:2])
             # IoU: a clamped iw or ih gives inter = 0, so IoU 0, as in `iou`
-            inter, union = q2
-            np.multiply(*np.maximum(p2, 0.0, out=p2), out=inter)
-            np.subtract(np.add(c_area[rows, None], c_area[None, s], out=union),
-                        inter, out=union)
-            v.fill(0.0)
-            np.divide(inter, union, out=v, where=np.greater(union, 0.0, out=f))
+            inter = np.multiply(*np.maximum(iwh, 0.0))
+            union = (pi[6] + pj[6]) - inter
+            v = np.divide(inter, union, out=np.zeros_like(inter),
+                          where=union > 0.0)
             # minus rho2 / c2 where c2 > 0
-            np.subtract(np.maximum(c_hi[:, None, s], c_hi[:, rows, None], out=p2),
-                        np.minimum(c_lo[:, None, s], c_lo[:, rows, None], out=q2),
-                        out=p2)
-            np.multiply(p2, p2, out=p2)
-            c2, t = p2
-            np.add(c2, t, out=c2)
-            np.subtract(c_ctr[:, rows, None], c_ctr[:, None, s], out=q2)
-            np.multiply(q2, q2, out=q2)
-            rho2 = np.add(*q2, out=q2[0])
-            t.fill(0.0)
-            np.divide(rho2, c2, out=t, where=np.greater(c2, 0.0, out=f))
-            np.subtract(v, t, out=v)
-            np.abs(np.subtract(v, threshold, out=t), out=t)
-            for i, j in zip(*np.nonzero(np.less(t, 1e-9, out=f))):
-                v[i, j] = diou(ranked[seg[rows[i]]].box,
-                               ranked[seg[r0 + 1 + j]].box)
-            # a kept row drops the later rows of its class above the threshold
-            np.less_equal(v, threshold, out=f)
-            for i, r in enumerate(rows.tolist()):
-                if live[r]:
-                    np.logical_and(live[r + 1:], f[i, r - r0:], out=live[r + 1:])
-            start = rows[-1] + 1
+            cwh = np.maximum(pj[2:4], pi[2:4]) - np.minimum(pj[:2], pi[:2])
+            c2, dxy = np.add(*(cwh * cwh)), pi[4:6] - pj[4:6]
+            v -= np.divide(np.add(*(dxy * dxy)), c2, out=np.zeros_like(c2),
+                           where=c2 > 0.0)
+            near = (np.abs(v - threshold) < 1e-9) | nonfinite[i] | nonfinite[j]
+            edge = near | ~(v <= threshold)
+            for p, q, u in zip(*(x[edge].tolist() for x in (i, j, near))):
+                if live[p] and live[q] and not (u and diou(
+                        ranked[seg[p]].box, ranked[seg[q]].box) <= threshold):
+                    live[q] = False
         alive[seg] = live
     return [d for d, keep in zip(ranked, alive) if keep]
 

@@ -318,6 +318,13 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {flag} must be at least ")
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-1", "0"])
+    def test_bad_lr_one_line_error(self, capsys, lr):
+        assert cli.main(["train-toy", "--steps", "1", f"--lr={lr}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --lr must be finite and above 0, got {float(lr)}\n"
+
     def test_weights_io_selftest(self, capsys):
         assert cli.main(["weights-io-selftest"]) == 0
         assert "round-trip ok" in capsys.readouterr().out

@@ -178,6 +178,19 @@ class TestFullyConnected:
             lambda v: (ops.fully_connected(x, v, b) * r).sum(), w)
         assert ops.relative_error(gw, fdw) < 1e-6
 
+    @pytest.mark.parametrize("kernel", ["fully_connected",
+                                        "fully_connected_backward"])
+    def test_batch_input_rejected_by_rank(self, kernel):
+        x, w = np.ones((2, 3)), np.ones((4, 3))
+        call = {
+            "fully_connected": lambda: ops.fully_connected(x, w, np.zeros(4)),
+            "fully_connected_backward":
+                lambda: ops.fully_connected_backward(x, w, np.ones((2, 4))),
+        }[kernel]
+        with pytest.raises(ops.ShapeError,
+                           match=f"^{kernel} expects a rank-1 vector, got rank 2$"):
+            call()
+
 
 class TestMaxPool:
     def test_constant_input(self):

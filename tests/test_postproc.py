@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tridet import ops
-from tridet.postproc import (NMS_BLOCK, Box, Detection, LossConfig,
+from tridet.postproc import (NMS_TILE, Box, Detection, LossConfig,
                              assign_targets, decode_predictions,
                              detection_loss, diou, diou_grad, diou_nms,
                              focal_loss, focal_loss_grad_p, format_detection,
@@ -192,8 +192,8 @@ class TestDIoUNMS:
     def test_chain_across_blocks_keeps_every_other_box(self):
         # neighbours 0.5 apart have DIoU 0.58, boxes 1.0 apart 0.30: box
         # 2i + 1 falls to box 2i only, so a dropped row that still drops
-        # rows would take box 2i + 2 with it
-        n = 3 * NMS_BLOCK + 1
+        # rows would take box 2i + 2 with it, across three tile boundaries
+        n = 3 * NMS_TILE + 1
         dets = [Detection(Box(0.5 * i, 0.0, 2.0, 2.0), 0, 1.0 - i / n)
                 for i in range(n)]
         assert diou(dets[0].box, dets[1].box) > 0.45
@@ -201,8 +201,9 @@ class TestDIoUNMS:
         shuffled = [dets[i] for i in np.random.default_rng(0).permutation(n)]
         assert diou_nms(shuffled, 0.45) == dets[::2]
 
-    @pytest.mark.parametrize("n", [0, 1, NMS_BLOCK - 1, NMS_BLOCK,
-                                   NMS_BLOCK + 1, 2 * NMS_BLOCK + 1])
+    # sizes inside one tile, and around one and two tiles
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33, NMS_TILE - 1, NMS_TILE,
+                                   NMS_TILE + 1, 2 * NMS_TILE + 1])
     @pytest.mark.parametrize("threshold", [0.0, 0.45, 0.9])
     def test_one_class_at_block_sizes(self, n, threshold):
         for seed in range(5):
@@ -215,6 +216,58 @@ class TestDIoUNMS:
                 dets.append(Detection(dets[i].box, 0,
                                       float(rng.choice([dets[i].score, 0.7]))))
             assert diou_nms(dets, threshold) == brute_force_nms(dets, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-12])
+    def test_touching_boxes_do_not_suppress(self, threshold):
+        # unit squares edge to edge (iw == 0 exactly) and corner to corner
+        # (iw == ih == 0), a zero-width line along shared edges, a point on
+        # a shared corner and a zero-width line through a square's centre
+        # (DIoU exactly 0): IoU 0, so DIoU <= 0, and only the copy of the
+        # centre square falls
+        boxes = [Box.from_corners(x, y, x + 1.0, y + 1.0)
+                 for x in range(3) for y in range(3)]
+        boxes += [Box.from_corners(1.0, 0.0, 1.0, 3.0), Box(2.0, 2.0, 0.0, 0.0),
+                  Box(0.5, 0.5, 0.0, 1.0), Box(1.5, 1.5, 1.0, 1.0)]
+        dets = [Detection(b, 0, 0.9 - 0.01 * i) for i, b in enumerate(boxes)]
+        shuffled = [dets[i] for i in np.random.default_rng(1).permutation(13)]
+        assert diou_nms(shuffled, threshold) == dets[:-1]
+        assert diou_nms(shuffled, threshold) == brute_force_nms(shuffled, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.45, 0.9])
+    def test_dense_field_across_tiles(self, threshold):
+        # a jittered 10 x 9 grid of about 2 x 2 boxes 1.5 apart, each with a
+        # near copy, in random score order: about three tiles of one class
+        rng = np.random.default_rng(9)
+        boxes = [Box(1.5 * x + rng.uniform(-0.2, 0.2),
+                     1.5 * y + rng.uniform(-0.2, 0.2),
+                     rng.uniform(1.5, 2.5), rng.uniform(1.5, 2.5))
+                 for x in range(10) for y in range(9)]
+        boxes += [Box(b.cx + 0.02, b.cy - 0.01, 1.01 * b.w, b.h) for b in boxes]
+        dets = [Detection(b, 0, float(p))
+                for b, p in zip(boxes, rng.permutation(len(boxes)))]
+        kept = brute_force_nms(dets, threshold)
+        assert diou_nms(dets, threshold) == kept
+        # some box falls to a kept box in another tile
+        tile = {id(d): r // NMS_TILE for r, d in
+                enumerate(sorted(dets, key=lambda d: -d.score))}
+        assert any(tile[id(k)] != tile[id(d)] and k.score > d.score
+                   and diou(k.box, d.box) > threshold
+                   for k in kept for d in dets if d not in kept)
+
+    @pytest.mark.parametrize("threshold", [0.45, 0.0, -0.3, math.nan])
+    def test_non_finite_boxes_match_oracle(self, threshold):
+        # such a pair takes every later row, and its DIoU is the scalar
+        # `diou`'s, whose min and max treat NaN otherwise than numpy's
+        rng = np.random.default_rng(5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for _ in range(40):
+                n = int(rng.integers(1, 30))
+                fields = rng.uniform(0, 8, (n, 4))
+                bad = rng.uniform(size=(n, 4)) < 0.08
+                fields[bad] = rng.choice([np.nan, np.inf, -np.inf], bad.sum())
+                dets = [Detection(Box(*map(float, f)), int(rng.integers(0, 2)),
+                                  float(rng.uniform())) for f in fields]
+                assert diou_nms(dets, threshold) == brute_force_nms(dets, threshold)
 
     def test_subset_order_idempotent(self):
         rng = np.random.default_rng(3)
