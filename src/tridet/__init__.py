@@ -1,6 +1,6 @@
 """tridet: a from-scratch triple-awareness detection-head stack.
 
-Dense NCHW tensor kernels with hand-written backwards, attention heads,
+Dense C×H×W tensor kernels with hand-written backwards, attention heads,
 coordinate attention, a feature-fusion neck, detection losses and
 post-processing, augmentation, and a deterministic CLI around them.
 """

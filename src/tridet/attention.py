@@ -70,8 +70,7 @@ class SpatialAttention(Layer):
     weights start as a delta at the stencil center.
     """
 
-    def __init__(self, channels, rng=None, unit_modulation=False,
-                 depthwise=False):
+    def __init__(self, channels, rng=None, depthwise=False):
         if depthwise:
             # depth-wise 3x3 context + zero-initialized point-wise heads
             self.offset_dw = Conv2d(channels, channels, 3, rng,
@@ -89,7 +88,6 @@ class SpatialAttention(Layer):
         wk = np.zeros(STENCIL_K)
         wk[4] = 1.0
         self.tap_weights = Param(wk)
-        self.unit_modulation = unit_modulation
         self._cache = None
 
     def forward(self, base, ctx):
@@ -102,10 +100,7 @@ class SpatialAttention(Layer):
         mod_raw = self.mod_pred.forward(ctx_mod)
         if not np.isfinite(offsets).all():
             raise ValueError("spatial attention predicted non-finite offsets")
-        if self.unit_modulation:
-            mod = np.ones_like(mod_raw)
-        else:
-            mod = ops.sigmoid(mod_raw)
+        mod = ops.sigmoid(mod_raw)
         yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
                              np.arange(w, dtype=np.float64), indexing="ij")
         dy, dx = np.array(BASE_OFFSETS, dtype=np.float64).T[:, :, None, None]
@@ -116,12 +111,12 @@ class SpatialAttention(Layer):
         out = np.zeros_like(base)
         for k in range(STENCIL_K):
             out += wk[k] * samples[:, k] * mod[k]
-        self._cache = (base, mod, mod_raw, ys, xs, samples)
+        self._cache = (base, mod, ys, xs, samples)
         return out
 
     def backward(self, gout):
         """Returns the gradients w.r.t. (base, ctx)."""
-        base, mod, mod_raw, ys, xs, samples = self._cache
+        base, mod, ys, xs, samples = self._cache
         wk = self.tap_weights.value
         gs = gout[:, None] * samples
         gwk = (gs * mod).sum(axis=(0, 2, 3))
@@ -130,10 +125,7 @@ class SpatialAttention(Layer):
             base, ys, xs, gout[:, None] * (wk[:, None, None] * mod))
         g_off = np.stack([gys, gxs], axis=1).reshape((-1,) + gys.shape[1:])
         self.tap_weights.grad += gwk
-        if self.unit_modulation:
-            g_mod_raw = np.zeros_like(mod_raw)
-        else:
-            g_mod_raw = g_mod * mod * (1.0 - mod)
+        g_mod_raw = g_mod * mod * (1.0 - mod)
         g_off_in = self.offset_pred.backward(g_off)
         g_mod_in = self.mod_pred.backward(g_mod_raw)
         if self.offset_dw is not None:

@@ -68,10 +68,11 @@ def cmd_params(args):
     if args.compare_csp:
         rng = np.random.default_rng(cfg.seed)
         plain = count_params(Neck(cfg.widths, rng, cfg.ca_ratio,
-                                  csp_enabled=False))[1]
+                                  csp_enabled=False,
+                                  depthwise=cfg.depthwise))[1]
         rng = np.random.default_rng(cfg.seed)
         csp = count_params(Neck(cfg.widths, rng, cfg.ca_ratio,
-                                csp_enabled=True))[1]
+                                csp_enabled=True, depthwise=cfg.depthwise))[1]
         print(f"neck-plain {plain}")
         print(f"neck-csp {csp}")
         print(f"csp-reduction {plain - csp}")

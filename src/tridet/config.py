@@ -7,6 +7,7 @@ fixed point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 VARIANTS = ("full", "tiny", "nano", "x-toy")
@@ -96,7 +97,13 @@ class ModelConfig:
               f"counts, got {counts}")
         for key, level in zip(ANCHOR_KEYS, self.anchors):
             for aw, ah in level:
+                check(math.isfinite(aw) and math.isfinite(ah), key,
+                      f"non-finite anchor extent ({aw}, {ah})")
                 check(aw > 0 and ah > 0, key, f"non-positive anchor extent ({aw}, {ah})")
+        for key in ("loss.alpha", "loss.gamma", "loss.w_box", "loss.w_obj",
+                    "loss.w_cls", "attention.lambda_a", "attention.lambda_b"):
+            v = getattr(self, key.split(".")[1])
+            check(math.isfinite(v), key, f"{v} is not finite")
         for key in ("conf_threshold", "nms_threshold"):
             v = getattr(self, key)
             check(0.0 <= v <= 1.0, f"detect.{key}", f"{v} outside [0, 1]")

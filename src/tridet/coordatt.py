@@ -33,7 +33,6 @@ class CoordAttention(Layer):
         self.squeeze_bn = BatchNorm2d(mid)
         self.expand_h = Conv2d(mid, channels, 1, rng)
         self.expand_w = Conv2d(mid, channels, 1, rng)
-        self.ratio = ratio
         self._cache = None
 
     def generate(self, q_h, q_w):

@@ -2,8 +2,10 @@
 
 Each layer caches its forward inputs and accumulates parameter gradients
 in backward(), torch-style but without any graph: composite modules wire
-their own backward passes by hand.  Parameters live in Param objects so
-the model tree can be walked for counting, checkpointing and SGD.
+their own backward passes by hand.  Parameters live in Param objects, and
+one pre-order walk, Layer.named_modules(), gives every layer of the tree
+its dotted path; named_params() and everything that counts, checkpoints
+or steps the parameters are built on it.
 """
 
 from __future__ import annotations
@@ -36,11 +38,17 @@ class Layer:
                 self.__dict__.setdefault("_children", {})[f"{name}.{i}"] = v
         object.__setattr__(self, name, value)
 
-    def named_params(self, prefix=""):
-        for name, p in self.__dict__.get("_params", {}).items():
-            yield prefix + name, p
+    def named_modules(self, prefix=""):
+        """This layer as `prefix`, then each child under its dotted path
+        (`heads.0.blocks.1.spatial`), depth first in registration order."""
+        yield prefix, self
         for name, child in self.__dict__.get("_children", {}).items():
-            yield from child.named_params(prefix + name + ".")
+            yield from child.named_modules(f"{prefix}.{name}" if prefix else name)
+
+    def named_params(self):
+        for path, module in self.named_modules():
+            for name, p in module.__dict__.get("_params", {}).items():
+                yield (f"{path}.{name}" if path else name), p
 
     def params(self):
         return [p for _, p in self.named_params()]
@@ -74,10 +82,6 @@ class Conv2d(Layer):
         self.weight = Param(w)
         self.bias = Param(np.zeros(out_c))
         self._x = None
-
-    @property
-    def is_spatial(self):
-        return self.k > 1
 
     def forward(self, x):
         self._x = np.asarray(x, dtype=np.float64)
@@ -178,8 +182,8 @@ class Sequential(Layer):
         return gy
 
 
-def conv_block(in_c, out_c, k, rng, act="leaky_relu", stride=1, depthwise=False):
-    """Conv + activation; spatial convs become depthwise+pointwise pairs
+def conv_block(in_c, out_c, k, rng, stride=1, depthwise=False):
+    """Conv + leaky ReLU; spatial convs become depthwise+pointwise pairs
     when depthwise is set (the mobile variant)."""
     if depthwise and k > 1:
         stages = [
@@ -188,9 +192,7 @@ def conv_block(in_c, out_c, k, rng, act="leaky_relu", stride=1, depthwise=False)
         ]
     else:
         stages = [Conv2d(in_c, out_c, k, rng, stride=stride)]
-    if act is not None:
-        stages.append(Activation(act))
-    return Sequential(*stages)
+    return Sequential(*stages, Activation("leaky_relu"))
 
 
 def sgd_step(model, lr):

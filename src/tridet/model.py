@@ -11,7 +11,7 @@ import numpy as np
 
 from .attention import TDAHead
 from .config import ModelConfig
-from .layers import Conv2d, Layer
+from .layers import Layer
 from .neck import Neck, ToyBackbone
 
 WEIGHT_MAGIC = b"3AW1"
@@ -55,20 +55,6 @@ class Model(Layer):
         gps = [head.backward(g) for head, g in zip(self.heads, graws)]
         gc3, gc4, gc5 = self.neck.backward(*gps)
         return self.backbone.backward(gc3, gc4, gc5)
-
-    def spatial_convs(self):
-        """All convolutions with kernel extent > 1, by name."""
-        out = []
-
-        def walk(layer, prefix):
-            for cname, child in layer.__dict__.get("_children", {}).items():
-                path = f"{prefix}{cname}"
-                if isinstance(child, Conv2d) and child.is_spatial:
-                    out.append((path, child))
-                walk(child, path + ".")
-
-        walk(self, "")
-        return out
 
     def checksum(self):
         digest = hashlib.sha256()

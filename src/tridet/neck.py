@@ -53,22 +53,18 @@ class ToyBackbone(Layer):
 class SPP(Layer):
     """Concat of the identity with stride-1 max pools of growing kernels."""
 
-    def __init__(self, pools=SPP_POOLS):
-        for k in pools:
-            if k % 2 == 0:
-                raise ops.ShapeError(f"SPP pool size must be odd, got {k}")
-        self.pools = tuple(pools)
+    def __init__(self):
         self._x = None
 
     def forward(self, x):
         self._x = x
-        return ops.concat_axis([x] + [ops.max_pool2d(x, k) for k in self.pools], 0)
+        return ops.concat_axis([x] + [ops.max_pool2d(x, k) for k in SPP_POOLS], 0)
 
     def backward(self, gy):
         c = self._x.shape[0]
-        parts = ops.split_axis(gy, 0, [c] * (1 + len(self.pools)))
+        parts = ops.split_axis(gy, 0, [c] * (1 + len(SPP_POOLS)))
         gx = parts[0]
-        for k, g in zip(self.pools, parts[1:]):
+        for k, g in zip(SPP_POOLS, parts[1:]):
             gx = gx + ops.max_pool2d_backward(self._x, k, g)
         return gx
 
@@ -144,17 +140,17 @@ class CSPLayer(Layer):
     """Split into a shortcut and a processed branch, concat, 1x1 merge.
 
     Fewer parameters than the three-conv block it replaces at equal
-    widths; ``act=None`` makes the whole layer linear for oracle tests.
+    widths.
     """
 
-    def __init__(self, cin, cout, rng=None, act="leaky_relu", depthwise=False):
+    def __init__(self, cin, cout, rng=None, depthwise=False):
         half = cout // 2
-        self.branch_a = conv_block(cin, half, 1, rng, act=act)
-        self.branch_b = conv_block(cin, half, 1, rng, act=act)
+        self.branch_a = conv_block(cin, half, 1, rng)
+        self.branch_b = conv_block(cin, half, 1, rng)
         self.inner = Sequential(
-            conv_block(half, half, 1, rng, act=act),
-            conv_block(half, half, 3, rng, act=act, depthwise=depthwise))
-        self.merge = conv_block(2 * half, cout, 1, rng, act=act)
+            conv_block(half, half, 1, rng),
+            conv_block(half, half, 3, rng, depthwise=depthwise))
+        self.merge = conv_block(2 * half, cout, 1, rng)
         self._half = half
 
     def forward(self, x):
@@ -201,9 +197,6 @@ class Neck(Layer):
         self.up4 = UpsampleNearest2x()
         self.down3 = conv_block(h3, h4, 3, rng, stride=2, depthwise=depthwise)
         self.down4 = conv_block(h4, h5, 3, rng, stride=2, depthwise=depthwise)
-
-    def ca_taps(self):
-        return (self.ca3, self.ca4, self.ca5)
 
     def forward(self, c3, c4, c5):
         a5 = self.ca5.forward(c5)

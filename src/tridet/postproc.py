@@ -50,9 +50,6 @@ class ClampStats:
     def __init__(self):
         self.count = 0
 
-    def reset(self):
-        self.count = 0
-
 
 clamp_stats = ClampStats()
 

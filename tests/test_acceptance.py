@@ -22,6 +22,7 @@ from tridet.attention import (BASE_OFFSETS, ScaleAttention, SpatialAttention,
 from tridet.augment import BoxLabel, LabeledImage, mixup, mosaic, rng_from_seed
 from tridet.config import ModelConfig, serialize_config
 from tridet.coordatt import CoordAttention
+from tridet.layers import Conv2d
 from tridet.model import build_model, load_weights, save_weights
 from tridet.neck import Neck, count_params
 from tridet.postproc import Box, Detection, diou, diou_nms, focal_loss, \
@@ -48,7 +49,8 @@ class TestCriterion2OracleEquivalences:
         for trial in range(10):
             c, h, w = rng.integers(1, 5), rng.integers(4, 9), rng.integers(4, 9)
             x = rng.standard_normal((c, h, w))
-            layer = SpatialAttention(c, unit_modulation=True)
+            layer = SpatialAttention(c)
+            layer.mod_pred.bias.value[:] = 40.0   # sigmoid(40.0) == 1.0
             taps = rng.uniform(-1.0, 1.0, 9)
             layer.tap_weights.value = taps.copy()
             got = layer.forward(x, x)
@@ -186,11 +188,14 @@ class TestCriterion6VariantContracts:
     def test_tiny_one_block_three_ca_taps(self):
         model = build_model(ModelConfig.default("tiny"))
         assert all(len(h.blocks) == 1 for h in model.heads)
-        assert len(model.neck.ca_taps()) == 3
+        taps = [name for name, m in model.named_modules()
+                if isinstance(m, CoordAttention)]
+        assert taps == ["neck.ca3", "neck.ca4", "neck.ca5"]
 
     def test_nano_depthwise_on_every_spatial_conv(self):
         model = build_model(ModelConfig.default("nano"))
-        convs = model.spatial_convs()
+        convs = [(name, m) for name, m in model.named_modules()
+                 if isinstance(m, Conv2d) and m.k > 1]
         assert convs
         for name, conv in convs:
             assert conv.groups == conv.in_c == conv.out_c, name

@@ -68,7 +68,8 @@ class TestSpatialAttention:
         # zero offsets, unit modulation, delta-at-center taps
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, 4, 4))
-        layer = SpatialAttention(3, unit_modulation=True)
+        layer = SpatialAttention(3)
+        layer.mod_pred.bias.value[:] = 40.0   # sigmoid(40.0) == 1.0
         assert_allclose(layer.forward(x, x), x, atol=1e-12)
         # the context only steers offsets and modulations
         assert_allclose(layer.forward(x, rng.standard_normal(x.shape)), x,
@@ -77,7 +78,8 @@ class TestSpatialAttention:
     def test_box_filter_equals_conv2d(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 8, 8))
-        layer = SpatialAttention(4, unit_modulation=True)
+        layer = SpatialAttention(4)
+        layer.mod_pred.bias.value[:] = 40.0   # sigmoid(40.0) == 1.0
         layer.tap_weights.value[:] = 1.0 / 9.0
         got = layer.forward(x, x)
         kernel = np.zeros((4, 4, 3, 3))
@@ -88,7 +90,8 @@ class TestSpatialAttention:
 
     def test_constant_half_offset_samples_midpoint(self):
         patch = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        layer = SpatialAttention(1, unit_modulation=True)
+        layer = SpatialAttention(1)
+        layer.mod_pred.bias.value[:] = 40.0   # sigmoid(40.0) == 1.0
         layer.offset_pred.bias.value[2 * 4] = 0.5      # center tap dy
         layer.offset_pred.bias.value[2 * 4 + 1] = 0.5  # center tap dx
         got = layer.forward(patch, patch)

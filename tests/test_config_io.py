@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tridet import cli
-from tridet.config import (ConfigError, ModelConfig, load_config,
+from tridet.config import (ANCHOR_KEYS, ConfigError, ModelConfig, load_config,
                            parse_config, serialize_config)
+from tridet.model import build_model, save_weights
 from tridet.ppm import ImageFormatError, read_ppm, write_pgm, write_ppm
 
 
@@ -117,6 +118,50 @@ class TestConfigBoundaries:
             assert captured.out == ""
             assert captured.err.startswith(f"error: line {line}: "), case
             assert captured.err.count("\n") == 1, case
+
+
+# float keys whose only bound is finiteness, and the anchor extents
+FINITE_KEYS = ("loss.alpha", "loss.gamma", "loss.w_box", "loss.w_obj",
+               "loss.w_cls", "attention.lambda_a", "attention.lambda_b") \
+    + ANCHOR_KEYS
+
+
+def _with_value(key, value):
+    """The default config text with `key` set to `value`, and its line."""
+    lines = _DEFAULT_TEXT.splitlines(keepends=True)
+    line = next(i for i, ln in enumerate(lines, 1)
+                if ln.startswith(f"{key} = "))
+    text = f"{value}x8,8x8,8x8" if key in ANCHOR_KEYS else value
+    lines[line - 1] = f"{key} = {text}\n"
+    return "".join(lines), line
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FINITE_KEYS)
+    def test_rejected_naming_key_and_line(self, key, value):
+        text, line = _with_value(key, value)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.key == key
+        assert str(exc.value).startswith(f"line {line}: bad value for {key}: ")
+        assert "finite" in str(exc.value)
+
+    def test_run_prints_one_error_line(self, tmp_path, capsys):
+        cfg = ModelConfig.default()
+        w_path = tmp_path / "w.bin"
+        save_weights(build_model(cfg), w_path)
+        img_path = tmp_path / "img.ppm"
+        write_ppm(img_path, np.random.default_rng(0).random((3, 64, 64)))
+        text, line = _with_value("attention.lambda_a", "inf")
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        assert cli.main(["run", str(cfg_path), str(w_path),
+                         str(img_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: line {line}: bad value for "
+                                f"attention.lambda_a: inf is not finite\n")
 
 
 class TestPpm:

@@ -7,7 +7,9 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 from tridet import cli
-from tridet.config import ModelConfig, serialize_config
+from tridet.config import VARIANTS, ModelConfig, serialize_config
+from tridet.coordatt import CoordAttention
+from tridet.layers import Conv2d, Layer, Param
 from tridet.model import (WeightFileError, build_model, load_weights,
                           save_weights)
 from tridet.ppm import write_ppm
@@ -23,7 +25,9 @@ class TestBuildModel:
     def test_tiny_one_block_per_head(self):
         model = build_model(toy_cfg("tiny"))
         assert all(len(h.blocks) == 1 for h in model.heads)
-        assert len(model.neck.ca_taps()) == 3
+        taps = [name for name, m in model.named_modules()
+                if isinstance(m, CoordAttention)]
+        assert taps == ["neck.ca3", "neck.ca4", "neck.ca5"]
 
     def test_full_two_blocks_per_head(self):
         model = build_model(toy_cfg("full"))
@@ -31,7 +35,8 @@ class TestBuildModel:
 
     def test_nano_depthwise_everywhere(self):
         model = build_model(toy_cfg("nano"))
-        convs = model.spatial_convs()
+        convs = [(name, m) for name, m in model.named_modules()
+                 if isinstance(m, Conv2d) and m.k > 1]
         assert convs
         for name, conv in convs:
             assert conv.groups == conv.in_c, name
@@ -47,6 +52,54 @@ class TestBuildModel:
         model = build_model(toy_cfg())
         raws = model.forward(np.random.default_rng(0).random((3, 64, 64)))
         assert [r.shape for r in raws] == [(21, 8, 8), (21, 4, 4), (21, 2, 2)]
+
+
+def _reachable_params(layer, seen):
+    """Every Param held by `layer` or a Layer below it, found through the
+    instance attributes rather than the registration tables."""
+    found = []
+    for value in vars(layer).values():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        for v in items:
+            if id(v) in seen:
+                continue
+            if isinstance(v, Param):
+                seen.add(id(v))
+                found.append(v)
+            elif isinstance(v, Layer):
+                seen.add(id(v))
+                found += _reachable_params(v, seen)
+    return found
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+class TestNamedModules:
+    def test_every_param_reached_exactly_once(self, variant):
+        model = build_model(toy_cfg(variant))
+        walked = [id(p) for _, p in model.named_params()]
+        assert len(walked) == len(set(walked))
+        reachable = _reachable_params(model, set())
+        assert sorted(walked) == sorted(id(p) for p in reachable)
+
+    def test_param_name_is_module_path_and_attribute(self, variant):
+        model = build_model(toy_cfg(variant))
+        modules = dict(model.named_modules())
+        assert modules[""] is model
+        for name, p in model.named_params():
+            path, _, attr = name.rpartition(".")
+            assert path and getattr(modules[path], attr) is p, name
+
+    def test_list_children_appear(self, variant):
+        cfg = toy_cfg(variant)
+        model = build_model(cfg)
+        paths = [name for name, _ in model.named_modules()]
+        assert len(paths) == len(set(paths))
+        expect = [f"backbone.stages.{i}" for i in range(5)]
+        for h in range(3):
+            expect += [f"heads.{h}"] + [f"heads.{h}.blocks.{b}.spatial"
+                                        for b in range(cfg.n_blocks)]
+        assert set(expect) <= set(paths)
+        assert f"heads.0.blocks.{cfg.n_blocks}" not in paths
 
 
 class TestWeights:
@@ -285,6 +338,19 @@ class TestCli:
         reduction = int([ln for ln in out.splitlines()
                          if ln.startswith("csp-reduction")][0].split()[1])
         assert reduction > 0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_params_compare_csp_matches_neck_row(self, tmp_path, capsys,
+                                                 variant):
+        # every variant builds a CSP neck, so the comparison's neck-csp
+        # must be the neck the table counts
+        cfg_path = self._write_cfg(tmp_path, toy_cfg(variant))
+        assert cli.main(["params", cfg_path, "--compare-csp"]) == 0
+        values = {ln.split()[0]: int(ln.split()[1])
+                  for ln in capsys.readouterr().out.splitlines()}
+        assert values["neck-csp"] == values["neck"]
+        assert values["neck-plain"] - values["neck-csp"] == \
+            values["csp-reduction"]
 
     def test_params_tiny_below_full(self, tmp_path, capsys):
         totals = []
