@@ -126,7 +126,6 @@ def build_parser():
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("gradcheck", help="run a finite-difference suite")
-    p.add_argument("config", nargs="?")
     p.add_argument("--module", required=True,
                    choices=sorted(gc.SUITES) + ["_corrupt"])
     p.add_argument("--seeds", type=int, default=20)

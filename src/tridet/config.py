@@ -100,15 +100,18 @@ class ModelConfig:
                 check(math.isfinite(aw) and math.isfinite(ah), key,
                       f"non-finite anchor extent ({aw}, {ah})")
                 check(aw > 0 and ah > 0, key, f"non-positive anchor extent ({aw}, {ah})")
-        for key in ("loss.alpha", "loss.gamma", "loss.w_box", "loss.w_obj",
-                    "loss.w_cls", "attention.lambda_a", "attention.lambda_b"):
-            v = getattr(self, key.split(".")[1])
-            check(math.isfinite(v), key, f"{v} is not finite")
-        for key in ("conf_threshold", "nms_threshold"):
-            v = getattr(self, key)
-            check(0.0 <= v <= 1.0, f"detect.{key}", f"{v} outside [0, 1]")
+        for key, (attr, parse, _) in KEYS.items():
+            if parse is float:
+                v = getattr(self, attr)
+                check(math.isfinite(v), key, f"{v} is not finite")
+        for key in ("detect.conf_threshold", "detect.nms_threshold", "loss.alpha"):
+            v = getattr(self, KEYS[key][0])
+            check(0.0 <= v <= 1.0, key, f"{v} outside [0, 1]")
         check(0.0 <= self.smooth_eps < 1.0, "loss.smooth_eps",
               f"{self.smooth_eps} outside [0, 1)")
+        for key in ("loss.gamma", "loss.w_box", "loss.w_obj", "loss.w_cls"):
+            v = getattr(self, KEYS[key][0])
+            check(v >= 0.0, key, f"{v} is below 0")
         return self
 
     @classmethod
@@ -139,49 +142,40 @@ def _parse_bool(text):
     return text.lower() == "true"
 
 
-def serialize_config(cfg: ModelConfig) -> str:
-    lines = [
-        f"model.variant = {cfg.variant}",
-        f"model.num_classes = {cfg.num_classes}",
-        f"model.widths = {','.join(str(w) for w in cfg.widths)}",
-        f"model.seed = {cfg.seed}",
-        f"model.csp = {'true' if cfg.csp_enabled else 'false'}",
-        f"detect.conf_threshold = {cfg.conf_threshold:g}",
-        f"detect.nms_threshold = {cfg.nms_threshold:g}",
-        f"loss.alpha = {cfg.alpha:g}",
-        f"loss.gamma = {cfg.gamma:g}",
-        f"loss.smooth_eps = {cfg.smooth_eps:g}",
-        f"loss.w_box = {cfg.w_box:g}",
-        f"loss.w_obj = {cfg.w_obj:g}",
-        f"loss.w_cls = {cfg.w_cls:g}",
-        f"attention.ca_ratio = {cfg.ca_ratio}",
-        f"attention.dyrelu_reduction = {cfg.dyrelu_reduction}",
-        f"attention.lambda_a = {cfg.lambda_a:g}",
-        f"attention.lambda_b = {cfg.lambda_b:g}",
-    ] + [f"{key} = {_fmt_anchors(level)}"
-         for key, level in zip(ANCHOR_KEYS, cfg.anchors)]
-    return "\n".join(lines) + "\n"
+def _fmt_float(v):
+    return f"{v:g}"
 
 
-_SETTERS = {
-    "model.variant": ("variant", str),
-    "model.num_classes": ("num_classes", int),
-    "model.widths": ("widths", lambda s: tuple(int(t) for t in s.split(","))),
-    "model.seed": ("seed", int),
-    "model.csp": ("csp_enabled", _parse_bool),
-    "detect.conf_threshold": ("conf_threshold", float),
-    "detect.nms_threshold": ("nms_threshold", float),
-    "loss.alpha": ("alpha", float),
-    "loss.gamma": ("gamma", float),
-    "loss.smooth_eps": ("smooth_eps", float),
-    "loss.w_box": ("w_box", float),
-    "loss.w_obj": ("w_obj", float),
-    "loss.w_cls": ("w_cls", float),
-    "attention.ca_ratio": ("ca_ratio", int),
-    "attention.dyrelu_reduction": ("dyrelu_reduction", int),
-    "attention.lambda_a": ("lambda_a", float),
-    "attention.lambda_b": ("lambda_b", float),
+# key -> (ModelConfig attribute, parser, formatter), in file order; the
+# anchor keys follow these
+KEYS = {
+    "model.variant": ("variant", str, str),
+    "model.num_classes": ("num_classes", int, str),
+    "model.widths": ("widths", lambda s: tuple(int(t) for t in s.split(",")),
+                     lambda ws: ",".join(str(w) for w in ws)),
+    "model.seed": ("seed", int, str),
+    "model.csp": ("csp_enabled", _parse_bool, lambda b: "true" if b else "false"),
+    "detect.conf_threshold": ("conf_threshold", float, _fmt_float),
+    "detect.nms_threshold": ("nms_threshold", float, _fmt_float),
+    "loss.alpha": ("alpha", float, _fmt_float),
+    "loss.gamma": ("gamma", float, _fmt_float),
+    "loss.smooth_eps": ("smooth_eps", float, _fmt_float),
+    "loss.w_box": ("w_box", float, _fmt_float),
+    "loss.w_obj": ("w_obj", float, _fmt_float),
+    "loss.w_cls": ("w_cls", float, _fmt_float),
+    "attention.ca_ratio": ("ca_ratio", int, str),
+    "attention.dyrelu_reduction": ("dyrelu_reduction", int, str),
+    "attention.lambda_a": ("lambda_a", float, _fmt_float),
+    "attention.lambda_b": ("lambda_b", float, _fmt_float),
 }
+
+
+def serialize_config(cfg: ModelConfig) -> str:
+    lines = [f"{key} = {fmt(getattr(cfg, attr))}"
+             for key, (attr, _, fmt) in KEYS.items()]
+    lines += [f"{key} = {_fmt_anchors(level)}"
+              for key, level in zip(ANCHOR_KEYS, cfg.anchors)]
+    return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str) -> ModelConfig:
@@ -195,7 +189,7 @@ def parse_config(text: str) -> ModelConfig:
         key, sep, value = (t.strip() for t in line.partition("="))
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in _SETTERS and key not in ANCHOR_KEYS:
+        if key not in KEYS and key not in ANCHOR_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in lines:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}, "
@@ -205,8 +199,8 @@ def parse_config(text: str) -> ModelConfig:
             if key in ANCHOR_KEYS:
                 anchors[ANCHOR_KEYS.index(key)] = _parse_anchors(value)
             else:
-                attr, conv = _SETTERS[key]
-                setattr(cfg, attr, conv(value))
+                attr, parse, _ = KEYS[key]
+                setattr(cfg, attr, parse(value))
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}", key) from e
     cfg.anchors = tuple(anchors)

@@ -11,6 +11,7 @@ from itertools import chain
 import numpy as np
 
 from . import ops
+from .config import STRIDES, ModelConfig
 
 P_CLAMP = 1e-7
 # rows of one class that `diou_nms` meets with the later rows at once
@@ -339,18 +340,7 @@ def assign_targets(targets, anchors_per_level, strides, grid_hw):
     return assigned
 
 
-@dataclass
-class LossConfig:
-    alpha: float = 0.25
-    gamma: float = 2.0
-    smooth_eps: float = 0.1
-    w_box: float = 0.05
-    w_obj: float = 1.0
-    w_cls: float = 0.5
-
-
-def detection_loss(raws, targets, anchors_per_level, strides, num_classes,
-                   cfg: LossConfig = LossConfig()):
+def detection_loss(raws, targets, cfg: ModelConfig):
     """Composite loss over per-level raw prediction tensors.
 
     total = w_box * mean(1 - diou) over assigned slots
@@ -358,13 +348,16 @@ def detection_loss(raws, targets, anchors_per_level, strides, num_classes,
             the number of positive assignments
           + w_cls * mean focal(smoothed class scores) over assigned slots.
 
+    The anchors, class count, focal alpha and gamma, label smoothing and
+    the three weights come from `cfg`, the strides from `STRIDES`.
     Returns (total, components, grads) with grads matching raws' shapes.
     """
-    views = [_split_raw(np.asarray(r, dtype=np.float64), len(anchors_per_level[l]),
+    num_classes = cfg.num_classes
+    views = [_split_raw(np.asarray(r, dtype=np.float64), len(cfg.anchors[l]),
                         num_classes)
              for l, r in enumerate(raws)]
     grid_hw = [v.shape[2:] for v in views]
-    assigned = assign_targets(targets, anchors_per_level, strides, grid_hw)
+    assigned = assign_targets(targets, cfg.anchors, STRIDES, grid_hw)
     grads = [np.zeros_like(v) for v in views]
 
     # objectness: focal summed over every slot, normalized by the number
@@ -387,8 +380,8 @@ def detection_loss(raws, targets, anchors_per_level, strides, num_classes,
     n_assigned = len(assigned)
     for (lvl, a, i, j), (gt, cid) in assigned.items():
         v = views[lvl]
-        stride = strides[lvl]
-        aw, ah = anchors_per_level[lvl][a]
+        stride = STRIDES[lvl]
+        aw, ah = cfg.anchors[lvl][a]
         tx, ty, tw, th = (float(v[a, c, i, j]) for c in range(4))
         sx = float(ops.sigmoid(np.float64(tx)))
         sy = float(ops.sigmoid(np.float64(ty)))

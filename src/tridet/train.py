@@ -9,7 +9,7 @@ from .augment import (BoxLabel, LabeledImage, mixup, mosaic, rng_from_seed)
 from .config import STRIDES, ModelConfig
 from .layers import sgd_step
 from .model import Model
-from .postproc import Box, LossConfig, decode_predictions, detection_loss, diou_nms
+from .postproc import Box, decode_predictions, detection_loss, diou_nms
 
 
 class DivergenceError(RuntimeError):
@@ -46,22 +46,15 @@ def training_sample(cfg: ModelConfig, seed, size=64):
     return sample
 
 
-def loss_config(cfg: ModelConfig) -> LossConfig:
-    return LossConfig(cfg.alpha, cfg.gamma, cfg.smooth_eps,
-                      cfg.w_box, cfg.w_obj, cfg.w_cls)
-
-
 def train_toy(model: Model, cfg: ModelConfig, steps, seed, lr=0.01,
               log=None):
     """Plain gradient descent on the fixed scene; returns the loss curve."""
     sample = training_sample(cfg, seed)
     targets = [(b.box, b.class_id) for b in sample.boxes]
-    lcfg = loss_config(cfg)
     curve = []
     for step in range(steps + 1):
         raws = model.forward(sample.pixels)
-        total, comps, graws = detection_loss(
-            raws, targets, cfg.anchors, STRIDES, cfg.num_classes, lcfg)
+        total, comps, graws = detection_loss(raws, targets, cfg)
         if not np.isfinite(total):
             raise DivergenceError(f"loss became non-finite at step {step}")
         curve.append(total)

@@ -1,12 +1,14 @@
 """Configuration text format and portable pixmap I/O."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from tridet import cli
-from tridet.config import (ANCHOR_KEYS, ConfigError, ModelConfig, load_config,
-                           parse_config, serialize_config)
+from tridet.config import (ANCHOR_KEYS, VARIANTS, ConfigError, ModelConfig,
+                           load_config, parse_config, serialize_config)
 from tridet.model import build_model, save_weights
 from tridet.ppm import ImageFormatError, read_ppm, write_pgm, write_ppm
 
@@ -18,6 +20,44 @@ class TestConfig:
         again = serialize_config(parse_config(text))
         assert text == again
         assert parse_config(text) == cfg
+
+    def test_every_field_round_trips(self):
+        cfg = ModelConfig(
+            variant="nano", num_classes=3, widths=(8, 16, 24), seed=5,
+            csp_enabled=False, anchors=(((4.0, 6.0),), ((10.0, 12.5),),
+                                        ((30.0, 20.0),)),
+            conf_threshold=0.3, nms_threshold=0.6, alpha=0.4, gamma=1.5,
+            smooth_eps=0.05, w_box=0.2, w_obj=0.7, w_cls=0.9, ca_ratio=8,
+            dyrelu_reduction=2, lambda_a=0.75, lambda_b=0.125).validate()
+        unchanged = [f.name for f in fields(ModelConfig)
+                     if getattr(cfg, f.name) == f.default]
+        assert unchanged == []
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_default_text_is_pinned(self, variant):
+        widths = "32,64,128" if variant == "x-toy" else "16,32,64"
+        assert serialize_config(ModelConfig.default(variant)) == (
+            f"model.variant = {variant}\n"
+            "model.num_classes = 2\n"
+            f"model.widths = {widths}\n"
+            "model.seed = 0\n"
+            "model.csp = true\n"
+            "detect.conf_threshold = 0.25\n"
+            "detect.nms_threshold = 0.45\n"
+            "loss.alpha = 0.25\n"
+            "loss.gamma = 2\n"
+            "loss.smooth_eps = 0.1\n"
+            "loss.w_box = 0.05\n"
+            "loss.w_obj = 1\n"
+            "loss.w_cls = 0.5\n"
+            "attention.ca_ratio = 16\n"
+            "attention.dyrelu_reduction = 4\n"
+            "attention.lambda_a = 1\n"
+            "attention.lambda_b = 0.5\n"
+            "anchors.p3 = 8x8,16x12,12x16\n"
+            "anchors.p4 = 24x24,32x24,24x32\n"
+            "anchors.p5 = 40x40,48x56,56x48\n")
 
     def test_comments_and_blank_lines_ignored(self):
         text = serialize_config(ModelConfig.default())
@@ -89,6 +129,18 @@ BAD_CONFIGS = {
         "model.seed = 0", "model.seed = -1"), "model.seed", 4),
     "anchor_without_x": (_DEFAULT_TEXT.replace(
         "anchors.p3 = 8x8,16x12,12x16", "anchors.p3 = 8y8"), "anchors.p3", 18),
+    "alpha_above_one": (_DEFAULT_TEXT.replace(
+        "loss.alpha = 0.25", "loss.alpha = 1.5"), "loss.alpha", 8),
+    "negative_alpha": (_DEFAULT_TEXT.replace(
+        "loss.alpha = 0.25", "loss.alpha = -0.25"), "loss.alpha", 8),
+    "negative_gamma": (_DEFAULT_TEXT.replace(
+        "loss.gamma = 2", "loss.gamma = -50"), "loss.gamma", 9),
+    "negative_w_box": (_DEFAULT_TEXT.replace(
+        "loss.w_box = 0.05", "loss.w_box = -0.05"), "loss.w_box", 11),
+    "negative_w_obj": (_DEFAULT_TEXT.replace(
+        "loss.w_obj = 1", "loss.w_obj = -1"), "loss.w_obj", 12),
+    "negative_w_cls": (_DEFAULT_TEXT.replace(
+        "loss.w_cls = 0.5", "loss.w_cls = -0.5"), "loss.w_cls", 13),
 }
 
 
@@ -120,10 +172,11 @@ class TestConfigBoundaries:
             assert captured.err.count("\n") == 1, case
 
 
-# float keys whose only bound is finiteness, and the anchor extents
+# every float key, and the anchor extents
 FINITE_KEYS = ("loss.alpha", "loss.gamma", "loss.w_box", "loss.w_obj",
-               "loss.w_cls", "attention.lambda_a", "attention.lambda_b") \
-    + ANCHOR_KEYS
+               "loss.w_cls", "attention.lambda_a", "attention.lambda_b",
+               "detect.conf_threshold", "detect.nms_threshold",
+               "loss.smooth_eps") + ANCHOR_KEYS
 
 
 def _with_value(key, value):

@@ -1,10 +1,12 @@
 """The gradient-check harness itself: `_check` must flag a wrong gradient
-wherever it sits, not only in a single-input function."""
+wherever it sits, not only in a single-input function, and a NaN error
+must fail wherever errors are reduced."""
 
 import numpy as np
 
 from tridet import gradcheck, ops
 from tridet.attention import ScaleAttention
+from tridet.postproc import diou_grad
 
 
 class TestCheckFlagsWrongGradients:
@@ -38,3 +40,46 @@ class TestCheckFlagsWrongGradients:
             # the default parameter list must reach `weight`
             err = gradcheck._check_layer(rng, layer, (x,))
             assert (err > gradcheck.TOL_ELEMENTWISE) == flagged, cls.__name__
+
+
+class TestNanErrorsFail:
+    def test_nan_parameter_grad_of_a_layer(self):
+        class NanWeightGrad(ScaleAttention):
+            def backward(self, gbase, gctx):
+                gx = super().backward(gbase, gctx)
+                self.weight.grad[0, 0] = np.nan
+                return gx
+
+        rng = np.random.default_rng(1)
+        layer = NanWeightGrad()
+        layer.weight.value = rng.uniform(-0.3, 0.3, (2, 2))
+        # the input's error comes first and is finite
+        err = gradcheck._check_layer(rng, layer, (rng.standard_normal((3, 4, 5)),))
+        assert not err < gradcheck.TOL_ELEMENTWISE
+
+    def test_nan_kernel_grad_fails_the_suite(self, monkeypatch):
+        backward = ops.max_pool2d_backward
+        monkeypatch.setattr(ops, "max_pool2d_backward",
+                            lambda *a: backward(*a) * np.nan)
+        results = {r.name: r for r in gradcheck.run_suite("tensor-core", 2)}
+        assert not results["max_pool2d"].passed
+        assert results["conv2d"].passed
+
+    def test_nan_in_one_activation(self, monkeypatch):
+        backward = ops.activation_backward
+        monkeypatch.setattr(
+            ops, "activation_backward",
+            lambda k, x, r: backward(k, x, r) * (np.nan if k == "sigmoid" else 1.0))
+        err = gradcheck.check_activations(np.random.default_rng(0))
+        assert not err < gradcheck.TOL_ELEMENTWISE
+
+    def test_nan_in_one_diou_draw(self, monkeypatch):
+        calls = []
+
+        def second_draw_nan(pred, gt):
+            calls.append(None)
+            return diou_grad(pred, gt) * (np.nan if len(calls) == 2 else 1.0)
+
+        monkeypatch.setattr(gradcheck, "diou_grad", second_draw_nan)
+        err = gradcheck.check_diou_grad(np.random.default_rng(0))
+        assert not err < gradcheck.TOL_ELEMENTWISE

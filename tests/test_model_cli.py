@@ -331,6 +331,13 @@ class TestCli:
                          "--seeds", "1"]) == 1
         capsys.readouterr()
 
+    def test_gradcheck_takes_no_config(self, capsys):
+        # the suites read no config, so a path is a usage error
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gradcheck", "/nonexistent.cfg", "--module", "_corrupt"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: /nonexistent.cfg" in capsys.readouterr().err
+
     def test_params_compare_csp(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, toy_cfg())
         assert cli.main(["params", cfg_path, "--compare-csp"]) == 0

@@ -2,6 +2,7 @@
 loss and label smoothing reductions, decoding, and the composite loss."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tridet import ops
-from tridet.postproc import (NMS_TILE, Box, Detection, LossConfig,
-                             assign_targets, decode_predictions,
+from tridet.config import ModelConfig
+from tridet.postproc import (NMS_TILE, Box, Detection, assign_targets, decode_predictions,
                              detection_loss, diou, diou_grad, diou_nms,
                              focal_loss, focal_loss_grad_p, format_detection,
                              iou, label_smooth)
@@ -433,6 +434,8 @@ class TestDecode:
 class TestDetectionLoss:
     ANCHORS = (((8.0, 8.0),), ((16.0, 16.0),), ((32.0, 32.0),))
     STRIDES = (8, 16, 32)
+    # two classes and the default loss settings
+    CFG = ModelConfig(anchors=ANCHORS)
 
     def _shapes(self, nc=2):
         return [(1 * (5 + nc), 4, 4), (1 * (5 + nc), 2, 2), (1 * (5 + nc), 1, 1)]
@@ -446,7 +449,7 @@ class TestDetectionLoss:
     def test_empty_targets_zero_box_component(self):
         raws = [np.random.default_rng(8).standard_normal(s)
                 for s in self._shapes()]
-        total, comps, _ = detection_loss(raws, [], self.ANCHORS, self.STRIDES, 2)
+        total, comps, _ = detection_loss(raws, [], self.CFG)
         assert comps["box"] == 0.0
         assert comps["cls"] == 0.0
         assert comps["obj"] > 0.0
@@ -462,21 +465,18 @@ class TestDetectionLoss:
         r0[0, 5, 1, 1] = 12.0
         total, comps, _ = detection_loss(
             [r0.reshape(self._shapes(nc)[0]), raws[1], raws[2]],
-            [(gt, 0)], self.ANCHORS, self.STRIDES, nc,
-            LossConfig(smooth_eps=0.0))
+            [(gt, 0)], replace(self.CFG, smooth_eps=0.0))
         assert total < 0.01
 
     def test_gradcheck_total(self):
         rng = np.random.default_rng(9)
         raws = [rng.standard_normal(s) * 0.5 for s in self._shapes()]
         targets = [(Box(11.3, 13.1, 7.0, 9.0), 1), (Box(17.0, 9.0, 30.0, 28.0), 0)]
-        total, _, grads = detection_loss(raws, targets, self.ANCHORS,
-                                         self.STRIDES, 2)
+        total, _, grads = detection_loss(raws, targets, self.CFG)
         for lvl in range(3):
             def f(v, lvl=lvl):
                 rs = [r.copy() for r in raws]
                 rs[lvl] = v
-                return detection_loss(rs, targets, self.ANCHORS,
-                                      self.STRIDES, 2)[0]
+                return detection_loss(rs, targets, self.CFG)[0]
             fd = ops.finite_diff_grad(f, raws[lvl].copy())
             assert ops.relative_error(grads[lvl], fd) < 1e-4
