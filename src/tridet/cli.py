@@ -8,13 +8,12 @@ import math
 import os
 import sys
 import tempfile
-
-import numpy as np
+from dataclasses import replace
 
 from . import gradcheck as gc
 from .config import ModelConfig, load_config
 from .model import build_model, load_weights, save_weights
-from .neck import Neck, count_params
+from .neck import count_params
 from .postproc import format_detection
 from .ppm import read_ppm, write_pgm
 from .train import run_inference, train_toy
@@ -66,13 +65,9 @@ def cmd_params(args):
         print(f"{name:<{width}}  {n}")
     print(f"{'total':<{width}}  {total}")
     if args.compare_csp:
-        rng = np.random.default_rng(cfg.seed)
-        plain = count_params(Neck(cfg.widths, rng, cfg.ca_ratio,
-                                  csp_enabled=False,
-                                  depthwise=cfg.depthwise))[1]
-        rng = np.random.default_rng(cfg.seed)
-        csp = count_params(Neck(cfg.widths, rng, cfg.ca_ratio,
-                                csp_enabled=True, depthwise=cfg.depthwise))[1]
+        plain, csp = (
+            count_params(build_model(replace(cfg, csp_enabled=flag)))[0]["neck"]
+            for flag in (False, True))
         print(f"neck-plain {plain}")
         print(f"neck-csp {csp}")
         print(f"csp-reduction {plain - csp}")

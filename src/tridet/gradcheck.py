@@ -386,6 +386,8 @@ def _check_corrupt(rng):
 
 def run_suite(module, seeds=20):
     """Run every check in a suite over the given number of seeds."""
+    if seeds < 1:
+        raise ValueError(f"run_suite needs at least 1 seed, got {seeds}")
     if module == "_corrupt":
         checks = [("corrupt_backward_fixture", _check_corrupt, TOL_ELEMENTWISE)]
     elif module in SUITES:

@@ -2,10 +2,10 @@
 
 Each layer caches its forward inputs and accumulates parameter gradients
 in backward(), torch-style but without any graph: composite modules wire
-their own backward passes by hand.  Parameters live in Param objects, and
-one pre-order walk, Layer.named_modules(), gives every layer of the tree
-its dotted path; named_params() and everything that counts, checkpoints
-or steps the parameters are built on it.
+their own backward passes by hand.  A layer's Param attributes are its
+parameters and its Layer attributes its children: one pre-order walk of
+those attributes, Layer.named_modules(), gives every layer its dotted
+path, and everything that counts, checkpoints or steps parameters uses it.
 """
 
 from __future__ import annotations
@@ -25,30 +25,26 @@ class Param:
 
 
 class Layer:
-    """Base class; Param and Layer attributes register automatically."""
-
-    def __setattr__(self, name, value):
-        if isinstance(value, Param):
-            self.__dict__.setdefault("_params", {})[name] = value
-        elif isinstance(value, Layer):
-            self.__dict__.setdefault("_children", {})[name] = value
-        elif isinstance(value, (list, tuple)) and value \
-                and all(isinstance(v, Layer) for v in value):
-            for i, v in enumerate(value):
-                self.__dict__.setdefault("_children", {})[f"{name}.{i}"] = v
-        object.__setattr__(self, name, value)
+    """Base class; its children are Layer attributes and lists of Layers."""
 
     def named_modules(self, prefix=""):
         """This layer as `prefix`, then each child under its dotted path
-        (`heads.0.blocks.1.spatial`), depth first in registration order."""
+        (`heads.0.blocks.1.spatial`), depth first in attribute order."""
         yield prefix, self
-        for name, child in self.__dict__.get("_children", {}).items():
-            yield from child.named_modules(f"{prefix}.{name}" if prefix else name)
+        dot = prefix + "." if prefix else ""
+        for name, value in vars(self).items():
+            if isinstance(value, Layer):
+                yield from value.named_modules(dot + name)
+            elif isinstance(value, list) and value \
+                    and all(isinstance(v, Layer) for v in value):
+                for i, v in enumerate(value):
+                    yield from v.named_modules(f"{dot}{name}.{i}")
 
     def named_params(self):
         for path, module in self.named_modules():
-            for name, p in module.__dict__.get("_params", {}).items():
-                yield (f"{path}.{name}" if path else name), p
+            for name, p in vars(module).items():
+                if isinstance(p, Param):
+                    yield (f"{path}.{name}" if path else name), p
 
     def params(self):
         return [p for _, p in self.named_params()]

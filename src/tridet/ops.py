@@ -249,6 +249,9 @@ def grid_sample_zero(plane, ys, xs):
     if not (np.isfinite(ys).all() and np.isfinite(xs).all()):
         raise ValueError("grid_sample_zero got non-finite coordinates")
     c, h, w = plane.shape
+    # no cell of a coordinate outside [-1, extent] is on the grid: clip for the cast
+    ys = np.clip(ys, -2, h + 1)
+    xs = np.clip(xs, -2, w + 1)
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.floor(xs).astype(np.int64)
     ly = ys - y0
@@ -271,10 +274,11 @@ def grid_sample_zero(plane, ys, xs):
 def grid_sample_zero_backward(plane, ys, xs, gout):
     """Backward of grid_sample_zero; returns (g_plane, g_ys, g_xs)."""
     plane = _as_f64(plane)
-    ys = _as_f64(ys)
-    xs = _as_f64(xs)
     gout = _as_f64(gout)
     c, h, w = plane.shape
+    # clipped as in grid_sample_zero: the moved coordinates stay off the grid
+    ys = np.clip(_as_f64(ys), -2, h + 1)
+    xs = np.clip(_as_f64(xs), -2, w + 1)
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.floor(xs).astype(np.int64)
     ly = ys - y0

@@ -3,6 +3,7 @@ wherever it sits, not only in a single-input function, and a NaN error
 must fail wherever errors are reduced."""
 
 import numpy as np
+import pytest
 
 from tridet import gradcheck, ops
 from tridet.attention import ScaleAttention
@@ -83,3 +84,11 @@ class TestNanErrorsFail:
         monkeypatch.setattr(gradcheck, "diou_grad", second_draw_nan)
         err = gradcheck.check_diou_grad(np.random.default_rng(0))
         assert not err < gradcheck.TOL_ELEMENTWISE
+
+
+class TestRunSuiteSeeds:
+    @pytest.mark.parametrize("seeds", [0, -3])
+    def test_no_seeds_refused(self, seeds):
+        # zero seeds would reduce no errors and report a pass
+        with pytest.raises(ValueError, match=f"at least 1 seed, got {seeds}"):
+            gradcheck.run_suite("_corrupt", seeds)

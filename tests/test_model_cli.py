@@ -7,6 +7,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 from tridet import cli
+from tridet.attention import TDAHead
 from tridet.config import VARIANTS, ModelConfig, serialize_config
 from tridet.coordatt import CoordAttention
 from tridet.layers import Conv2d, Layer, Param
@@ -55,8 +56,8 @@ class TestBuildModel:
 
 
 def _reachable_params(layer, seen):
-    """Every Param held by `layer` or a Layer below it, found through the
-    instance attributes rather than the registration tables."""
+    """Every Param held by `layer` or a Layer below it, found by an
+    independent walk of the instance attributes that also follows tuples."""
     found = []
     for value in vars(layer).values():
         items = value if isinstance(value, (list, tuple)) else [value]
@@ -72,8 +73,8 @@ def _reachable_params(layer, seen):
     return found
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
 class TestNamedModules:
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_param_reached_exactly_once(self, variant):
         model = build_model(toy_cfg(variant))
         walked = [id(p) for _, p in model.named_params()]
@@ -81,6 +82,7 @@ class TestNamedModules:
         reachable = _reachable_params(model, set())
         assert sorted(walked) == sorted(id(p) for p in reachable)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_param_name_is_module_path_and_attribute(self, variant):
         model = build_model(toy_cfg(variant))
         modules = dict(model.named_modules())
@@ -89,6 +91,7 @@ class TestNamedModules:
             path, _, attr = name.rpartition(".")
             assert path and getattr(modules[path], attr) is p, name
 
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_list_children_appear(self, variant):
         cfg = toy_cfg(variant)
         model = build_model(cfg)
@@ -100,6 +103,37 @@ class TestNamedModules:
                                         for b in range(cfg.n_blocks)]
         assert set(expect) <= set(paths)
         assert f"heads.0.blocks.{cfg.n_blocks}" not in paths
+
+    def test_depthwise_head_paths_in_attribute_order(self):
+        head = TDAHead(4, 2, 1, 1, np.random.default_rng(0), depthwise=True)
+        block = ["", ".scale", ".spatial", ".spatial.offset_dw",
+                 ".spatial.mod_dw", ".spatial.offset_pred", ".spatial.mod_pred",
+                 ".task", ".task.fc1", ".task.fc2"]
+        assert [name for name, _ in head.named_modules()] == \
+            [""] + [f"blocks.{b}{s}" for b in range(2) for s in block] \
+            + ["conv3", "conv3_pw", "act", "conv1"]
+
+    def test_dropped_children_leave_every_walk(self, tmp_path):
+        full = build_model(toy_cfg("full"))
+        dropped = full.heads[0].blocks[1]
+        full.heads[0].blocks = full.heads[0].blocks[:1]
+        nano = build_model(toy_cfg("nano"))
+        spatial = nano.heads[0].blocks[0].spatial
+        offset_dw, spatial.offset_dw = spatial.offset_dw, None
+        for model, gone, stale in ((full, "heads.0.blocks.1.", dropped),
+                                   (nano, "heads.0.blocks.0.spatial.offset_dw.",
+                                    offset_dw)):
+            names = [name for name, _ in model.named_params()]
+            assert not [n for n in names if n.startswith(gone)]
+            before = model.checksum()
+            for p in stale.params():
+                p.value += 1.0
+            assert model.checksum() == before
+            path = tmp_path / "w.bin"
+            save_weights(model, path)
+            assert gone.encode() not in path.read_bytes()
+            load_weights(model, path)
+            assert model.checksum() == before
 
 
 class TestWeights:

@@ -1,6 +1,8 @@
 """Tensor-core kernels: values against naive-loop oracles, gradients
 against central differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -266,6 +268,19 @@ class TestBilinearSample:
         with pytest.raises(ValueError):
             ops.grid_sample_zero(np.ones((1, 2, 2)), np.array([np.nan]),
                                  np.array([0.0]))
+
+    def test_far_coordinates_sample_zero_without_warnings(self):
+        # a coordinate far past any int64 must not reach the integer cast
+        plane = np.arange(1.0, 13.0).reshape(1, 3, 4)
+        ys = np.array([1e300, 1.0, -1e300, 1.5])
+        xs = np.array([1.0, -1e300, 2.0, 1.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ops.grid_sample_zero(plane, ys, xs)
+            grads = ops.grid_sample_zero_backward(plane, ys[:3], xs[:3],
+                                                  np.ones((1, 3)))
+        assert (out[:, :3] == 0.0).all() and out[0, 3] == 8.5
+        assert all((g == 0.0).all() for g in grads)
 
     def test_coordinate_stack_equals_separate_calls(self):
         rng = np.random.default_rng(12)
