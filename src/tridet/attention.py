@@ -20,6 +20,7 @@ from .layers import Activation, Conv2d, Layer, Linear, Param
 STENCIL_K = 9
 # 3x3 base stencil displacements (dy, dx), row-major, center at index 4
 BASE_OFFSETS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+_BASE_DY, _BASE_DX = np.array(BASE_OFFSETS, dtype=np.float64).T[:, :, None, None]
 
 
 class ScaleAttention(Layer):
@@ -101,16 +102,14 @@ class SpatialAttention(Layer):
         if not np.isfinite(offsets).all():
             raise ValueError("spatial attention predicted non-finite offsets")
         mod = ops.sigmoid(mod_raw)
-        yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
-                             np.arange(w, dtype=np.float64), indexing="ij")
-        dy, dx = np.array(BASE_OFFSETS, dtype=np.float64).T[:, :, None, None]
-        ys = yy + dy + offsets[0::2]
-        xs = xx + dx + offsets[1::2]
+        ys = np.arange(h, dtype=np.float64)[:, None] + _BASE_DY + offsets[0::2]
+        xs = np.arange(w, dtype=np.float64) + _BASE_DX + offsets[1::2]
         samples = ops.grid_sample_zero(base, ys, xs)
-        wk = self.tap_weights.value
+        # the nine wk * samples * mod terms at once, summed in tap order
+        terms = self.tap_weights.value[:, None, None] * samples * mod
         out = np.zeros_like(base)
         for k in range(STENCIL_K):
-            out += wk[k] * samples[:, k] * mod[k]
+            out += terms[:, k]
         self._cache = (base, mod, ys, xs, samples)
         return out
 

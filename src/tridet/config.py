@@ -123,7 +123,7 @@ class ModelConfig:
 
 
 def _fmt_anchors(level):
-    return ",".join(f"{aw:g}x{ah:g}" for aw, ah in level)
+    return ",".join(f"{_fmt_float(aw)}x{_fmt_float(ah)}" for aw, ah in level)
 
 
 def _parse_anchors(text):
@@ -143,7 +143,9 @@ def _parse_bool(text):
 
 
 def _fmt_float(v):
-    return f"{v:g}"
+    """Six significant digits when they read back as v, else every digit."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
 
 
 # key -> (ModelConfig attribute, parser, formatter), in file order; the

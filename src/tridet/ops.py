@@ -7,6 +7,12 @@ whatever intermediates it needs from the original inputs; nothing here
 keeps state and nothing builds a graph.  The central-difference oracle
 ``finite_diff_grad`` is the reference all backward implementations are
 tested against.
+
+Forward values are pinned bit for bit (the `run` digests and
+tests/model_reference.npz), so two summation orders are fixed: `conv2d`
+adds one einsum per tap in row-major (u, v) order and `grid_sample_zero`
+adds its corners in the order (0, 0), (0, 1), (1, 0), (1, 1).  Any other
+order, or one contraction over all taps, rounds differently.
 """
 
 from __future__ import annotations
@@ -83,25 +89,26 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
 
     x: [Cin, H, W], weight: [Cout, Cin/groups, kH, kW], bias: [Cout].
 
-    The sum runs tap by tap, one einsum per (u, v).  A single im2col
-    matmul would be faster but sums in another order, and the `run`
-    output must stay byte-identical to the stored digests.
+    The sum runs tap by tap, one einsum per (u, v) in row-major order,
+    each reading a strided view of the padded input and of the weight.  A
+    single im2col matmul would be faster but sums in another order, and
+    the `run` output must stay byte-identical to the stored digests.
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
     cin, h, w, cout, kh, kw, ho, wo = _check_conv_args(
         x, weight, stride, padding, groups)
-    xp = _zero_pad(x, padding)
     cg = cin // groups
     og = cout // groups
-    wg = weight.reshape(groups, og, cg, kh, kw)
+    xg = _zero_pad(x, padding).reshape(groups, cg, h + 2 * padding, -1)
+    # [kH, kW, groups, og, cg], so that wt[u, v] is a view
+    wt = weight.reshape(groups, og, cg, kh, kw).transpose(3, 4, 0, 1, 2)
     out = np.zeros((groups, og, ho, wo))
     for u in range(kh):
         for v in range(kw):
-            patch = xp[:, u: u + stride * (ho - 1) + 1: stride,
+            patch = xg[:, :, u: u + stride * (ho - 1) + 1: stride,
                        v: v + stride * (wo - 1) + 1: stride]
-            patch = patch.reshape(groups, cg, ho, wo)
-            out += np.einsum("gchw,goc->gohw", patch, wg[:, :, :, u, v])
+            out += np.einsum("gchw,goc->gohw", patch, wt[u, v])
     out = out.reshape(cout, ho, wo)
     if bias is not None:
         bias = _as_f64(bias)
@@ -237,37 +244,49 @@ def directional_pool_backward(x, g_qh, g_qw):
 # bilinear sampling (zero padding outside the grid)
 # ---------------------------------------------------------------------------
 
+def _corners(plane, ys, xs):
+    """Flat cell indices into plane.reshape(C, -1), validity masks and
+    validity-masked bilinear weights of the four corners, each [4, *ys.shape],
+    and the fractional parts (ly, lx) of the coordinates."""
+    h, w = plane.shape[1:]
+    # the four cells around a coordinate, (dy, dx) in the summation order
+    dy, dx = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
+    # no cell of a coordinate outside [-1, extent] is on the grid: clip for the cast
+    ys = np.minimum(np.maximum(ys, -2), h + 1)
+    xs = np.minimum(np.maximum(xs, -2), w + 1)
+    y0 = np.floor(ys)
+    x0 = np.floor(xs)
+    ly = ys - y0
+    lx = xs - x0
+    corner = (slice(None),) + (None,) * ys.ndim
+    yy = y0.astype(np.int64) + dy[corner]
+    xx = x0.astype(np.int64) + dx[corner]
+    valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+    flat = np.minimum(np.maximum(yy, 0, out=yy), h - 1, out=yy)
+    flat *= w  # in place: each [4, ...] temporary raised peak RSS
+    flat += np.minimum(np.maximum(xx, 0, out=xx), w - 1, out=xx)
+    wt = np.array((1 - ly, ly))[dy] * np.array((1 - lx, lx))[dx]
+    return flat, valid, wt * valid, ly, lx
+
+
 def grid_sample_zero(plane, ys, xs):
     """Bilinear samples of plane [C, H, W] at coordinate arrays ys, xs.
 
     Coordinates are shared across channels.  Cells outside
     [0, H-1] x [0, W-1] contribute zero.  Returns [C, *ys.shape].
+    The corners' indices and weights are built at once; each corner is
+    then added into zeros in the pinned order (see the module docstring).
     """
     plane = _as_f64(plane)
     ys = _as_f64(ys)
     xs = _as_f64(xs)
     if not (np.isfinite(ys).all() and np.isfinite(xs).all()):
         raise ValueError("grid_sample_zero got non-finite coordinates")
-    c, h, w = plane.shape
-    # no cell of a coordinate outside [-1, extent] is on the grid: clip for the cast
-    ys = np.clip(ys, -2, h + 1)
-    xs = np.clip(xs, -2, w + 1)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    ly = ys - y0
-    lx = xs - x0
-    out = np.zeros((c,) + ys.shape)
-    for dy, dx, wt in (
-        (0, 0, (1 - ly) * (1 - lx)),
-        (0, 1, (1 - ly) * lx),
-        (1, 0, ly * (1 - lx)),
-        (1, 1, ly * lx),
-    ):
-        yy = y0 + dy
-        xx = x0 + dx
-        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        vals = plane[:, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
-        out += vals * (wt * valid)[None]
+    flat, _, wt, _, _ = _corners(plane, ys, xs)
+    plane_flat = plane.reshape(plane.shape[0], -1)
+    out = np.zeros(plane.shape[:1] + ys.shape)
+    for k in range(4):
+        out += plane_flat[:, flat[k]] * wt[k]
     return out
 
 
@@ -275,39 +294,28 @@ def grid_sample_zero_backward(plane, ys, xs, gout):
     """Backward of grid_sample_zero; returns (g_plane, g_ys, g_xs)."""
     plane = _as_f64(plane)
     gout = _as_f64(gout)
-    c, h, w = plane.shape
-    # clipped as in grid_sample_zero: the moved coordinates stay off the grid
-    ys = np.clip(_as_f64(ys), -2, h + 1)
-    xs = np.clip(_as_f64(xs), -2, w + 1)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    ly = ys - y0
-    lx = xs - x0
-    g_plane = np.zeros_like(plane)
+    ys = _as_f64(ys)
+    xs = _as_f64(xs)
+    flat, valid, wt, ly, lx = _corners(plane, ys, xs)
+    plane_flat = plane.reshape(plane.shape[0], -1)
+    g_flat = np.zeros(plane_flat.shape)
     g_ys = np.zeros_like(ys)
     g_xs = np.zeros_like(xs)
-    corners = (
-        (0, 0, (1 - ly) * (1 - lx), -(1 - lx), -(1 - ly)),
-        (0, 1, (1 - ly) * lx, -lx, (1 - ly)),
-        (1, 0, ly * (1 - lx), (1 - lx), -ly),
-        (1, 1, ly * lx, lx, ly),
+    # d weight / d y and d weight / d x of each corner
+    slopes = (
+        (-(1 - lx), -(1 - ly)),
+        (-lx, (1 - ly)),
+        ((1 - lx), -ly),
+        (lx, ly),
     )
-    for dy, dx, wt, dwdy, dwdx in corners:
-        yy = y0 + dy
-        xx = x0 + dx
-        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        yyc = np.clip(yy, 0, h - 1)
-        xxc = np.clip(xx, 0, w - 1)
-        vals = plane[:, yyc, xxc] * valid[None]
+    for k, (dwdy, dwdx) in enumerate(slopes):
+        on = valid[k]
         # plane gradient: scatter weight * gout into the valid corner cells
-        contrib = gout * (wt * valid)[None]
-        idx = valid.nonzero()
-        np.add.at(g_plane, (slice(None), yyc[idx], xxc[idx]),
-                  contrib[(slice(None),) + idx])
-        gsum = (gout * vals).sum(axis=0)
+        np.add.at(g_flat, (slice(None), flat[k][on]), (gout * wt[k])[:, on])
+        gsum = (gout * (plane_flat[:, flat[k]] * on)).sum(axis=0)
         g_ys += gsum * dwdy
         g_xs += gsum * dwdx
-    return g_plane, g_ys, g_xs
+    return g_flat.reshape(plane.shape), g_ys, g_xs
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +360,18 @@ def activation_deriv(kind, x):
 
 
 def sigmoid(x):
+    """1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) otherwise, so
+    that exp never overflows; both from one e = exp(-|x|).  min(x, -x) is
+    -|x| that keeps a NaN's sign bit."""
     x = _as_f64(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def hard_sigmoid(x):
     """max(0, min(1, (x + 1) / 2))."""
     x = _as_f64(x)
-    return np.clip((x + 1.0) * 0.5, 0.0, 1.0)
+    return np.minimum(np.maximum((x + 1.0) * 0.5, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -211,11 +211,25 @@ def diou_nms(dets, threshold=0.45):
     return [d for d, keep in zip(ranked, alive) if keep]
 
 
-def _clamp_p(p):
-    p = np.asarray(p, dtype=np.float64)
-    clamped = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
-    clamp_stats.count += int((clamped != p).sum())
-    return clamped
+def _focal(p, y, alpha, gamma):
+    """Elementwise focal loss, its derivative in p (zero where p was
+    clamped to [P_CLAMP, 1 - P_CLAMP]) and the number of clamped entries,
+    from one clamp and one set of powers and logs."""
+    praw = np.asarray(p, dtype=np.float64)
+    p = np.minimum(np.maximum(praw, P_CLAMP), 1.0 - P_CLAMP)
+    clamped = p != praw
+    y = np.asarray(y, dtype=np.float64)
+    q = 1.0 - p
+    log_p = np.log(p)
+    log_q = np.log(q)
+    pow_p = np.power(p, gamma)
+    pow_q = np.power(q, gamma)
+    loss = (y * (-alpha * pow_q * log_p)
+            + (1.0 - y) * (-(1.0 - alpha) * pow_p * log_q))
+    dpos = alpha * (gamma * np.power(q, gamma - 1.0) * log_p - pow_q / p)
+    dneg = (1.0 - alpha) * (-gamma * np.power(p, gamma - 1.0) * log_q + pow_p / q)
+    grad = np.where(clamped, 0.0, y * dpos + (1.0 - y) * dneg)
+    return loss, grad, int(clamped.sum())
 
 
 def focal_loss(p, y, alpha=0.25, gamma=2.0):
@@ -224,24 +238,14 @@ def focal_loss(p, y, alpha=0.25, gamma=2.0):
     For hard labels this is -alpha_t * (1 - p_t)^gamma * log(p_t) with
     p_t = p if y=1 else 1-p and alpha_t = alpha if y=1 else 1-alpha.
     """
-    p = _clamp_p(p)
-    y = np.asarray(y, dtype=np.float64)
-    pos = -alpha * np.power(1.0 - p, gamma) * np.log(p)
-    neg = -(1.0 - alpha) * np.power(p, gamma) * np.log(1.0 - p)
-    return y * pos + (1.0 - y) * neg
+    loss, _, clamps = _focal(p, y, alpha, gamma)
+    clamp_stats.count += clamps
+    return loss
 
 
 def focal_loss_grad_p(p, y, alpha=0.25, gamma=2.0):
     """d focal_loss / d p (zero subgradient where p was clamped)."""
-    praw = np.asarray(p, dtype=np.float64)
-    p = np.clip(praw, P_CLAMP, 1.0 - P_CLAMP)
-    y = np.asarray(y, dtype=np.float64)
-    dpos = alpha * (gamma * np.power(1.0 - p, gamma - 1.0) * np.log(p)
-                    - np.power(1.0 - p, gamma) / p)
-    dneg = (1.0 - alpha) * (-gamma * np.power(p, gamma - 1.0) * np.log(1.0 - p)
-                            + np.power(p, gamma) / (1.0 - p))
-    g = y * dpos + (1.0 - y) * dneg
-    return np.where(praw == p, g, 0.0)
+    return _focal(p, y, alpha, gamma)[1]
 
 
 def label_smooth(onehot, eps):
@@ -362,7 +366,8 @@ def detection_loss(raws, targets, cfg: ModelConfig):
 
     # objectness: focal summed over every slot, normalized by the number
     # of positive assignments (the customary focal-loss reduction)
-    n_norm = max(1, len(assigned))
+    n_assigned = len(assigned)
+    n_norm = max(1, n_assigned)
     obj_loss = 0.0
     for lvl, v in enumerate(views):
         t = v[:, 4]
@@ -371,38 +376,40 @@ def detection_loss(raws, targets, cfg: ModelConfig):
             if l == lvl:
                 y[a, i, j] = 1.0
         p = ops.sigmoid(t)
-        obj_loss += float(focal_loss(p, y, cfg.alpha, cfg.gamma).sum()) / n_norm
-        gp = focal_loss_grad_p(p, y, cfg.alpha, cfg.gamma) / n_norm
-        grads[lvl][:, 4] += cfg.w_obj * gp * p * (1.0 - p)
+        fl, gp, clamps = _focal(p, y, cfg.alpha, cfg.gamma)
+        clamp_stats.count += clamps
+        obj_loss += float(fl.sum()) / n_norm
+        grads[lvl][:, 4] += cfg.w_obj * (gp / n_norm) * p * (1.0 - p)
+
+    # the sigmoids and class focal terms of every assigned slot at once
+    rows = np.array([views[l][a, :, i, j] for l, a, i, j in assigned])
+    rows = rows.reshape(n_assigned, 5 + num_classes)
+    sxy = ops.sigmoid(rows[:, :2])
+    pc = ops.sigmoid(rows[:, 5:])
+    onehot = np.eye(num_classes)[[cid for _, cid in assigned.values()]]
+    ysm = label_smooth(onehot, cfg.smooth_eps)
+    fl, gpc, clamps = _focal(pc, ysm, cfg.alpha, cfg.gamma)
+    clamp_stats.count += clamps
+    g_cls = (cfg.w_cls / n_norm) * (gpc / num_classes) * pc * (1.0 - pc)
 
     box_loss = 0.0
     cls_loss = 0.0
-    n_assigned = len(assigned)
-    for (lvl, a, i, j), (gt, cid) in assigned.items():
-        v = views[lvl]
+    scale = cfg.w_box / n_norm
+    for k, ((lvl, a, i, j), (gt, _)) in enumerate(assigned.items()):
         stride = STRIDES[lvl]
         aw, ah = cfg.anchors[lvl][a]
-        tx, ty, tw, th = (float(v[a, c, i, j]) for c in range(4))
-        sx = float(ops.sigmoid(np.float64(tx)))
-        sy = float(ops.sigmoid(np.float64(ty)))
+        sx, sy = sxy[k].tolist()
+        tw, th = rows[k, 2:4].tolist()
         pred = Box((sx + j) * stride, (sy + i) * stride,
                    aw * math.exp(tw), ah * math.exp(th))
         box_loss += 1.0 - diou(pred, gt)
         dd = diou_grad(pred, gt)   # d diou / d (cx, cy, w, h)
-        scale = cfg.w_box / n_assigned
         grads[lvl][a, 0, i, j] += -scale * dd[0] * sx * (1 - sx) * stride
         grads[lvl][a, 1, i, j] += -scale * dd[1] * sy * (1 - sy) * stride
         grads[lvl][a, 2, i, j] += -scale * dd[2] * pred.w
         grads[lvl][a, 3, i, j] += -scale * dd[3] * pred.h
-
-        onehot = np.zeros(num_classes)
-        onehot[cid] = 1.0
-        ysm = label_smooth(onehot, cfg.smooth_eps)
-        tc = v[a, 5:, i, j]
-        pc = ops.sigmoid(tc)
-        cls_loss += float(focal_loss(pc, ysm, cfg.alpha, cfg.gamma).sum()) / num_classes
-        gpc = focal_loss_grad_p(pc, ysm, cfg.alpha, cfg.gamma) / num_classes
-        grads[lvl][a, 5:, i, j] += (cfg.w_cls / n_assigned) * gpc * pc * (1.0 - pc)
+        cls_loss += float(fl[k].sum()) / num_classes
+        grads[lvl][a, 5:, i, j] += g_cls[k]
     if n_assigned:
         box_loss /= n_assigned
         cls_loss /= n_assigned

@@ -1,6 +1,6 @@
 """Configuration text format and portable pixmap I/O."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,14 @@ class TestConfig:
                      if getattr(cfg, f.name) == f.default]
         assert unchanged == []
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_floats_keep_every_digit(self):
+        cfg = replace(ModelConfig(), alpha=0.1234567, anchors=(
+            ((10.123456789, 8.0),), ((16.0, 1e-7 / 3),), ((32.0, 32.0),)))
+        text = serialize_config(cfg)
+        assert "loss.alpha = 0.1234567\n" in text
+        assert "anchors.p3 = 10.123456789x8\n" in text
+        assert parse_config(text) == cfg
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_default_text_is_pinned(self, variant):

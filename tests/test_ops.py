@@ -437,3 +437,134 @@ class TestFiniteDiff:
                 return float(np.log(v).sum())
         with pytest.raises(ops.FiniteDiffError):
             ops.finite_diff_grad(f, np.array([1.0, 0.0, 1.0]) * 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit equality with the straightforward forms of each kernel
+# ---------------------------------------------------------------------------
+
+def two_mask_sigmoid(x):
+    """1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
+    each exp over its own masked subset."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def per_corner_grid_sample(plane, ys, xs):
+    """Bilinear sampling one corner at a time, clamped with np.clip."""
+    c, h, w = plane.shape
+    ys = np.clip(ys, -2, h + 1)
+    xs = np.clip(xs, -2, w + 1)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    ly = ys - y0
+    lx = xs - x0
+    out = np.zeros((c,) + ys.shape)
+    for dy, dx, wt in ((0, 0, (1 - ly) * (1 - lx)), (0, 1, (1 - ly) * lx),
+                       (1, 0, ly * (1 - lx)), (1, 1, ly * lx)):
+        yy = y0 + dy
+        xx = x0 + dx
+        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        vals = plane[:, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
+        out += vals * (wt * valid)[None]
+    return out
+
+
+def per_corner_grid_sample_backward(plane, ys, xs, gout):
+    c, h, w = plane.shape
+    ys = np.clip(ys, -2, h + 1)
+    xs = np.clip(xs, -2, w + 1)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    ly = ys - y0
+    lx = xs - x0
+    g_plane = np.zeros_like(plane)
+    g_ys = np.zeros_like(ys)
+    g_xs = np.zeros_like(xs)
+    for dy, dx, wt, dwdy, dwdx in (
+            (0, 0, (1 - ly) * (1 - lx), -(1 - lx), -(1 - ly)),
+            (0, 1, (1 - ly) * lx, -lx, (1 - ly)),
+            (1, 0, ly * (1 - lx), (1 - lx), -ly),
+            (1, 1, ly * lx, lx, ly)):
+        yy = y0 + dy
+        xx = x0 + dx
+        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        yyc = np.clip(yy, 0, h - 1)
+        xxc = np.clip(xx, 0, w - 1)
+        vals = plane[:, yyc, xxc] * valid[None]
+        idx = valid.nonzero()
+        np.add.at(g_plane, (slice(None), yyc[idx], xxc[idx]),
+                  (gout * (wt * valid)[None])[(slice(None),) + idx])
+        gsum = (gout * vals).sum(axis=0)
+        g_ys += gsum * dwdy
+        g_xs += gsum * dwdx
+    return g_plane, g_ys, g_xs
+
+
+def per_tap_conv2d(x, weight, bias, stride, padding, groups):
+    """conv2d summed tap by tap over contiguous copies of each window."""
+    cin, h, w = x.shape
+    cout, cg, kh, kw = weight.shape
+    ho, wo = ops.conv2d_out_hw(h, w, kh, kw, stride, padding)
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    wg = weight.reshape(groups, cout // groups, cg, kh, kw)
+    out = np.zeros((groups, cout // groups, ho, wo))
+    for u in range(kh):
+        for v in range(kw):
+            patch = xp[:, u: u + stride * (ho - 1) + 1: stride,
+                       v: v + stride * (wo - 1) + 1: stride]
+            out += np.einsum("gchw,goc->gohw",
+                             patch.reshape(groups, cg, ho, wo), wg[:, :, :, u, v])
+    return out.reshape(cout, ho, wo) + bias[:, None, None]
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0,
+                     -745.0, 1e-300, -1e-300, 1.0, -1.0, 3.0, -3.0])
+
+
+class TestBitExact:
+    def test_sigmoid_matches_two_mask_formula(self):
+        rng = np.random.default_rng(21)
+        for x in (SPECIALS, rng.standard_normal(1000) * 30.0,
+                  rng.standard_normal((9, 5, 7)) * 4.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = ops.sigmoid(x)
+            assert got.tobytes() == two_mask_sigmoid(x).tobytes()
+
+    def test_hard_sigmoid_matches_clip(self):
+        x = np.concatenate([SPECIALS, np.random.default_rng(22).normal(0, 2, 500)])
+        want = np.clip((x + 1.0) * 0.5, 0.0, 1.0)
+        assert ops.hard_sigmoid(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c,h,w", [(1, 1, 1), (3, 3, 4), (2, 8, 8), (4, 5, 9)])
+    def test_grid_sample_matches_per_corner_loop(self, c, h, w):
+        rng = np.random.default_rng(100 * h + w)
+        plane = rng.standard_normal((w, h, c)).T  # not C-contiguous
+        ys = rng.uniform(-3.0, h + 2.0, (9, h, w))
+        xs = rng.uniform(-3.0, w + 2.0, (9, h, w))
+        ys[:3], xs[2:5] = np.round(ys[:3]), np.round(xs[2:5])  # integer taps
+        ys[5, 0, 0], xs[6, 0, 0], ys[7, 0, 0] = 1e300, -1e300, -1e300
+        assert ops.grid_sample_zero(plane, ys, xs).tobytes() == \
+            per_corner_grid_sample(plane, ys, xs).tobytes()
+        gout = rng.standard_normal((c,) + ys.shape)
+        for got, want in zip(ops.grid_sample_zero_backward(plane, ys, xs, gout),
+                             per_corner_grid_sample_backward(plane, ys, xs, gout)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cin,cout,k,stride,padding,groups", [
+        (3, 8, 3, 2, 1, 1), (8, 8, 3, 1, 1, 1), (8, 8, 3, 2, 1, 8),
+        (6, 4, 1, 1, 0, 1), (8, 12, 3, 1, 1, 4), (4, 6, 5, 1, 2, 2)])
+    def test_conv2d_matches_per_tap_copies(self, cin, cout, k, stride,
+                                           padding, groups):
+        rng = np.random.default_rng(cin * cout + k)
+        x = rng.standard_normal((cin, 9, 7))
+        weight = rng.standard_normal((cout, cin // groups, k, k))
+        bias = rng.standard_normal(cout)
+        got = ops.conv2d(x, weight, bias, stride, padding, groups)
+        want = per_tap_conv2d(x, weight, bias, stride, padding, groups)
+        assert got.tobytes() == want.tobytes()

@@ -12,10 +12,13 @@ from numpy.testing import assert_allclose
 
 from tridet import ops
 from tridet.config import ModelConfig
-from tridet.postproc import (NMS_TILE, Box, Detection, assign_targets, decode_predictions,
-                             detection_loss, diou, diou_grad, diou_nms,
-                             focal_loss, focal_loss_grad_p, format_detection,
-                             iou, label_smooth)
+from tridet.model import build_model
+from tridet.postproc import (NMS_TILE, P_CLAMP, Box, Detection, assign_targets,
+                             clamp_stats, decode_predictions, detection_loss,
+                             diou, diou_grad, diou_nms, focal_loss,
+                             focal_loss_grad_p, format_detection, iou,
+                             label_smooth)
+from tridet.train import train_toy
 
 
 def random_box(rng, span=10.0):
@@ -322,6 +325,38 @@ class TestFocalLoss:
         g = focal_loss_grad_p(p, y)
         fd = ops.finite_diff_grad(lambda v: float(focal_loss(v, y).sum()), p)
         assert ops.relative_error(g, fd) < 1e-6
+
+    def test_matches_clip_formulas_bit_for_bit(self):
+        # the loss and its derivative each written out over np.clip
+        rng = np.random.default_rng(6)
+        p = np.concatenate([[np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0,
+                             1e-8, 1e-7, 1.0 - 1e-9, 1.5, -0.2],
+                            rng.uniform(0.0, 1.0, 200)])
+        y = rng.uniform(0.0, 1.0, p.size)
+        for alpha, gamma in ((0.25, 2.0), (0.7, 0.0), (0.5, 1.5)):
+            c = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
+            loss = (y * (-alpha * np.power(1.0 - c, gamma) * np.log(c))
+                    + (1.0 - y) * (-(1.0 - alpha) * np.power(c, gamma)
+                                   * np.log(1.0 - c)))
+            dpos = alpha * (gamma * np.power(1.0 - c, gamma - 1.0) * np.log(c)
+                            - np.power(1.0 - c, gamma) / c)
+            dneg = (1.0 - alpha) * (-gamma * np.power(c, gamma - 1.0)
+                                    * np.log(1.0 - c)
+                                    + np.power(c, gamma) / (1.0 - c))
+            grad = np.where(p == c, y * dpos + (1.0 - y) * dneg, 0.0)
+            before = clamp_stats.count
+            assert focal_loss(p, y, alpha, gamma).tobytes() == loss.tobytes()
+            assert clamp_stats.count - before == int((c != p).sum()) == 11
+            assert focal_loss_grad_p(p, y, alpha, gamma).tobytes() == grad.tobytes()
+            assert clamp_stats.count - before == 11
+
+    def test_train_toy_clamp_count_pinned(self):
+        # lr = 5 drives some objectness logits far enough to be clamped;
+        # 200 is the count recorded before the loss shared its clamp
+        cfg = ModelConfig.default("full")
+        before = clamp_stats.count
+        train_toy(build_model(cfg), cfg, 3, 0, lr=5.0)
+        assert clamp_stats.count - before == 200
 
 
 class TestLabelSmooth:
