@@ -29,9 +29,8 @@ def cmd_run(args):
     cfg = _load_cfg(args.config)
     model = build_model(cfg)
     load_weights(model, args.weights)
-    dets = run_inference(model, cfg, read_ppm(args.image))
-    for det in dets:
-        print(format_detection(args.image, det))
+    rows = run_inference(model, cfg, read_ppm(args.image))
+    sys.stdout.write(format_detection(args.image, rows))
     if args.dump_features:
         os.makedirs(args.dump_features, exist_ok=True)
         for name, fmap in model._feature_taps.items():

@@ -20,7 +20,7 @@ class Param:
 
     def __init__(self, value, trainable=True):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape)
         self.trainable = trainable
 
 
@@ -30,15 +30,19 @@ class Layer:
     def named_modules(self, prefix=""):
         """This layer as `prefix`, then each child under its dotted path
         (`heads.0.blocks.1.spatial`), depth first in attribute order."""
-        yield prefix, self
-        dot = prefix + "." if prefix else ""
-        for name, value in vars(self).items():
-            if isinstance(value, Layer):
-                yield from value.named_modules(dot + name)
-            elif isinstance(value, list) and value \
-                    and all(isinstance(v, Layer) for v in value):
-                for i, v in enumerate(value):
-                    yield from v.named_modules(f"{dot}{name}.{i}")
+        stack = [(prefix, self)]
+        while stack:
+            path, module = stack.pop()
+            yield path, module
+            dot = path + "." if path else ""
+            # pushed last to first, so that the first child is popped first
+            for name, value in reversed(vars(module).items()):
+                if isinstance(value, Layer):
+                    stack.append((dot + name, value))
+                elif isinstance(value, list) and value \
+                        and all(isinstance(v, Layer) for v in value):
+                    stack += [(f"{dot}{name}.{i}", value[i])
+                              for i in reversed(range(len(value)))]
 
     def named_params(self):
         for path, module in self.named_modules():

@@ -136,22 +136,24 @@ def load_weights(model: Model, path):
     missing = set(known) - seen
     if missing:
         raise WeightFileError(f"manifest is missing tensors: {sorted(missing)}")
-    # read every payload before assigning any, so a bad file leaves the
-    # model untouched
-    staged = []
+    # check every payload before assigning any: a bad file changes nothing
     start = off
-    for name, _, shape, nbytes in manifest:
+    for name, _, _, nbytes in manifest:
         if off + nbytes > len(data):
             raise WeightFileError(
                 f"truncated payload for {name!r} at byte {off}")
-        arr = np.frombuffer(data[off: off + nbytes], dtype="<f4").reshape(shape)
-        staged.append((name, arr))
         off += nbytes
     if off != len(data):
         raise WeightFileError(
             f"{len(data) - off} trailing bytes after the last payload at byte {off}")
+    # one float64 copy of every payload; each tensor gets a slice of it
+    values = np.frombuffer(data, dtype="<f4", offset=start).astype(np.float64)
+    staged, at = [], 0
+    for name, _, shape, nbytes in manifest:
+        staged.append((name, values[at: at + nbytes // 4].reshape(shape)))
+        at += nbytes // 4
     # one check covers every payload; a failure then names the tensor
-    if not np.isfinite(np.frombuffer(data, dtype="<f4", offset=start)).all():
+    if not np.isfinite(values).all():
         for name, arr in staged:
             bad = arr.size - np.count_nonzero(np.isfinite(arr))
             if bad:
@@ -159,6 +161,6 @@ def load_weights(model: Model, path):
                     f"payload for {name!r} holds {bad} non-finite value(s)")
     for name, arr in staged:
         p = known[name]
-        p.value = arr.astype(np.float64)
-        p.grad = np.zeros_like(p.value)
+        p.value = arr
+        p.grad = np.zeros(arr.shape)
     return model

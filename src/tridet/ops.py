@@ -74,12 +74,12 @@ def _check_conv_args(x, weight, stride, padding, groups):
     return cin, h, w, cout, kh, kw, ho, wo
 
 
-def _zero_pad(x, padding):
-    """x framed by `padding` zeros on each spatial side; x itself if 0."""
+def _pad(x, padding, fill=0.0):
+    """x framed by `padding` cells of `fill` per spatial side; x if 0."""
     if padding == 0:
         return x
     c, h, w = x.shape
-    xp = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    xp = np.full((c, h + 2 * padding, w + 2 * padding), fill)
     xp[:, padding: padding + h, padding: padding + w] = x
     return xp
 
@@ -100,7 +100,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
         x, weight, stride, padding, groups)
     cg = cin // groups
     og = cout // groups
-    xg = _zero_pad(x, padding).reshape(groups, cg, h + 2 * padding, -1)
+    xg = _pad(x, padding).reshape(groups, cg, h + 2 * padding, -1)
     # [kH, kW, groups, og, cg], so that wt[u, v] is a view
     wt = weight.reshape(groups, og, cg, kh, kw).transpose(3, 4, 0, 1, 2)
     out = np.zeros((groups, og, ho, wo))
@@ -134,7 +134,7 @@ def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
         x, weight, stride, padding, groups)
     if gy.shape != (cout, ho, wo):
         raise ShapeError(f"gy shape {gy.shape} != {(cout, ho, wo)}")
-    xp = _zero_pad(x, padding)
+    xp = _pad(x, padding)
     cg = cin // groups
     og = cout // groups
     taps = [(u, v, slice(u, u + stride * (ho - 1) + 1, stride),
@@ -186,20 +186,28 @@ def fully_connected_backward(x, weight, gy):
 def _pool_windows(x, k):
     """Stacked k*k shifted views of x padded with -inf; shape [k*k, C, H, W]."""
     c, h, w = x.shape
-    pad = k // 2
-    xp = np.full((c, h + 2 * pad, w + 2 * pad), -np.inf)
-    xp[:, pad: pad + h, pad: pad + w] = x
+    xp = _pad(x, k // 2, -np.inf)
     views = [xp[:, u: u + h, v: v + w] for u in range(k) for v in range(k)]
     return np.stack(views, axis=0)
 
 
 def max_pool2d(x, k):
-    """Stride-1 max pool with same-size output; k must be odd."""
+    """Stride-1 max pool with same-size output; k must be odd.  A running
+    maximum along the rows, then down the columns, meets each window in
+    the stacked windows' row-major order, so ties of -0 and +0 agree."""
     x = _as_f64(x)
     if k % 2 == 0:
         raise ShapeError(f"max_pool2d kernel must be odd, got {k}")
     _check_map("max_pool2d", x)
-    return _pool_windows(x, k).max(axis=0)
+    c, h, w = x.shape
+    xp = _pad(x, k // 2, -np.inf)
+    rows = xp[:, :, :w].copy()
+    for v in range(1, k):
+        np.maximum(rows, xp[:, :, v: v + w], out=rows)
+    out = rows[:, :h].copy()
+    for u in range(1, k):
+        np.maximum(out, rows[:, u: u + h], out=out)
+    return out
 
 
 def max_pool2d_backward(x, k, gy):
@@ -248,6 +256,8 @@ def _corners(plane, ys, xs):
     """Flat cell indices into plane.reshape(C, -1), validity masks and
     validity-masked bilinear weights of the four corners, each [4, *ys.shape],
     and the fractional parts (ly, lx) of the coordinates."""
+    if not (np.isfinite(ys).all() and np.isfinite(xs).all()):
+        raise ValueError("grid_sample_zero got non-finite coordinates")
     h, w = plane.shape[1:]
     # the four cells around a coordinate, (dy, dx) in the summation order
     dy, dx = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
@@ -280,8 +290,6 @@ def grid_sample_zero(plane, ys, xs):
     plane = _as_f64(plane)
     ys = _as_f64(ys)
     xs = _as_f64(xs)
-    if not (np.isfinite(ys).all() and np.isfinite(xs).all()):
-        raise ValueError("grid_sample_zero got non-finite coordinates")
     flat, _, wt, _, _ = _corners(plane, ys, xs)
     plane_flat = plane.reshape(plane.shape[0], -1)
     out = np.zeros(plane.shape[:1] + ys.shape)
@@ -330,7 +338,7 @@ def activation(kind, x):
     if kind == "relu":
         return np.maximum(x, 0.0)
     if kind == "leaky_relu":
-        return np.where(x > 0, x, 0.1 * x)
+        return np.maximum(x, 0.1 * x)
     if kind == "sigmoid":
         return sigmoid(x)
     if kind == "hard_sigmoid":

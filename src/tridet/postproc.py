@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -36,13 +35,6 @@ class Box:
     @property
     def area(self):
         return self.w * self.h
-
-
-@dataclass
-class Detection:
-    box: Box
-    class_id: int
-    score: float
 
 
 class ClampStats:
@@ -133,10 +125,11 @@ def diou_grad(pred: Box, gt: Box):
     return d_iou - dpen
 
 
-def diou_nms(dets, threshold=0.45):
-    """Greedy class-wise suppression: keep by descending score (input
-    index breaks ties), drop candidates whose distance-IoU with a kept
-    detection of the same class exceeds the threshold.
+def diou_nms(rows, threshold=0.45):
+    """Greedy class-wise suppression of rows [N, 6] from
+    `decode_predictions`: keep by rank, drop rows whose distance-IoU with
+    a kept row of the same class exceeds the threshold, and return the
+    kept rows by rank.  Rank is descending score, NaN last, then index.
 
     Each class is walked in rank order, NMS_TILE rows at a time. Broad
     phase: four comparisons meet the tile's live rows with every later
@@ -153,12 +146,12 @@ def diou_nms(dets, threshold=0.45):
     of squares: at most 0, never above a threshold >= 0. For a negative
     or NaN threshold, or coordinates large enough for a square to
     overflow (inf / inf is NaN), every later row is a pair."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    ranked = [dets[i] for i in order]
-    n = len(ranked)
-    fields = ((d.box.cx, d.box.cy, d.box.w, d.box.h) for d in ranked)
-    b = np.fromiter(chain.from_iterable(fields), float, 4 * n).reshape(n, 4).T
-    cls = np.array([d.class_id for d in ranked])
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
+    n = len(rows)
+    # lexsort puts NaN keys last; its last key is the primary one
+    ranked = rows[np.lexsort((np.arange(n), -rows[:, 5]))]
+    b = ranked[:, :4].T
+    cls = ranked[:, 4]
     # rows x0, y0, x1, y1 (corners), cx, cy, area
     planes = np.vstack([b[:2] - b[2:] / 2, b[:2] + b[2:] / 2, b[:2],
                         b[2] * b[3]])
@@ -205,10 +198,11 @@ def diou_nms(dets, threshold=0.45):
             edge = near | ~(v <= threshold)
             for p, q, u in zip(*(x[edge].tolist() for x in (i, j, near))):
                 if live[p] and live[q] and not (u and diou(
-                        ranked[seg[p]].box, ranked[seg[q]].box) <= threshold):
+                        Box(*b[:, seg[p]].tolist()),
+                        Box(*b[:, seg[q]].tolist())) <= threshold):
                     live[q] = False
         alive[seg] = live
-    return [d for d, keep in zip(ranked, alive) if keep]
+    return ranked[alive]
 
 
 def _focal(p, y, alpha, gamma):
@@ -272,42 +266,37 @@ def _split_raw(raw, n_anchors, num_classes):
 def decode_predictions(raw, anchors, stride, conf_threshold, num_classes):
     """Standard anchor decode: centers from sigmoid offsets plus the cell
     origin times the stride, extents from exponential anchor scaling.
-    Detections at or below the confidence threshold are dropped; the
-    rest come in (anchor, row, column) order."""
-    raw = np.asarray(raw, dtype=np.float64)
-    r = _split_raw(raw, len(anchors), num_classes)
-    dets = []
-    for a, (aw, ah) in enumerate(anchors):
-        obj = ops.sigmoid(r[a, 4])
-        cls = ops.sigmoid(r[a, 5:])
-        score = obj * cls.max(axis=0)
-        # a NaN score is kept, as `score <= conf_threshold` is false for it
-        ii, jj = np.nonzero(~(score <= conf_threshold))
-        t = r[a, :4][:, ii, jj]
-        cx = (ops.sigmoid(t[0]) + jj) * stride
-        cy = (ops.sigmoid(t[1]) + ii) * stride
-        # math.exp, not np.exp: numpy's SIMD exp may round differently
-        first = len(dets)
-        try:
-            for x, y, tw, th, c, p in zip(cx.tolist(), cy.tolist(),
-                                          *t[2:].tolist(),
-                                          cls.argmax(axis=0)[ii, jj].tolist(),
-                                          score[ii, jj].tolist()):
-                dets.append(Detection(
-                    Box(x, y, aw * math.exp(tw), ah * math.exp(th)), c, p))
-        except OverflowError:
-            k = len(dets) - first
-            logit = float(np.nanmax(t[2:, k]))
-            raise ValueError(
-                f"extent logit {logit!r} at stride {stride}, anchor {a}, "
-                f"cell ({ii[k]}, {jj[k]}) overflows exp") from None
-    return dets
+    Returns float64 rows [N, 6] of `cx, cy, w, h, class_id, score` in
+    (anchor, row, column) order, without scores at or below the threshold
+    (a NaN score is kept, as `score <= conf_threshold` is false)."""
+    r = _split_raw(np.asarray(raw, dtype=np.float64), len(anchors),
+                   num_classes)
+    cls = ops.sigmoid(r[:, 5:])
+    score = ops.sigmoid(r[:, 4]) * cls.max(axis=1)
+    aa, ii, jj = np.nonzero(~(score <= conf_threshold))
+    t = r[aa, :4, ii, jj]
+    # math.exp, not np.exp: numpy's SIMD exp may round differently
+    ext = []
+    try:
+        for v in t[:, 2:].ravel().tolist():
+            ext.append(math.exp(v))
+    except OverflowError:
+        k = len(ext) // 2
+        logit = float(np.nanmax(t[k, 2:]))
+        raise ValueError(
+            f"extent logit {logit!r} at stride {stride}, anchor {aa[k]}, "
+            f"cell ({ii[k]}, {jj[k]}) overflows exp") from None
+    return np.column_stack((
+        (ops.sigmoid(t[:, 0]) + jj) * stride, (ops.sigmoid(t[:, 1]) + ii) * stride,
+        np.reshape(ext, (-1, 2)) * np.asarray(anchors, float)[aa],
+        cls.argmax(axis=1)[aa, ii, jj], score[aa, ii, jj]))
 
 
-def format_detection(image_id, det):
-    b = det.box
-    return (f"{image_id} {det.class_id} {det.score:.6f} "
-            f"{b.cx:.6f} {b.cy:.6f} {b.w:.6f} {b.h:.6f}")
+def format_detection(image_id, rows):
+    """The printed text of rows [N, 6] from `diou_nms`: one line `image_id
+    class_id score cx cy w h` and a newline per row, floats to 6 places."""
+    line = f"{image_id}".replace("%", "%%") + " %d" + " %.6f" * 5 + "\n"
+    return (line * len(rows)) % tuple(rows[:, [4, 5, 0, 1, 2, 3]].ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,9 @@ def train_toy(model: Model, cfg: ModelConfig, steps, seed, lr=0.01,
 
 
 def run_inference(model: Model, cfg: ModelConfig, image):
-    """Full pipeline: forward, per-level decode, class-wise distance NMS."""
-    raws = model.forward(image)
-    dets = []
-    for raw, anchors, stride in zip(raws, cfg.anchors, STRIDES):
-        dets.extend(decode_predictions(raw, anchors, stride,
-                                       cfg.conf_threshold, cfg.num_classes))
-    return diou_nms(dets, cfg.nms_threshold)
+    """Full pipeline: forward, per-level decode, class-wise distance NMS.
+    Returns the kept detection rows [N, 6] (see `decode_predictions`)."""
+    levels = zip(model.forward(image), cfg.anchors, STRIDES)
+    rows = [decode_predictions(raw, anchors, stride, cfg.conf_threshold,
+                               cfg.num_classes) for raw, anchors, stride in levels]
+    return diou_nms(np.concatenate(rows), cfg.nms_threshold)

@@ -25,8 +25,7 @@ from tridet.coordatt import CoordAttention
 from tridet.layers import Conv2d
 from tridet.model import build_model, load_weights, save_weights
 from tridet.neck import Neck, count_params
-from tridet.postproc import Box, Detection, diou, diou_nms, focal_loss, \
-    label_smooth
+from tridet.postproc import Box, diou, diou_nms, focal_loss, label_smooth
 from tridet.ppm import write_ppm
 from tridet.train import run_inference, train_toy
 
@@ -99,36 +98,39 @@ class TestCriterion2OracleEquivalences:
                             atol=1e-14)
 
 
-def brute_force_nms(dets, threshold):
-    pool = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+def brute_force_nms(rows, threshold):
+    """Kept rows of a greedy pass with the scalar `diou`, in rank order."""
+    boxes = [Box(*r[:4]) for r in rows.tolist()]
+    pool = sorted(range(len(rows)), key=lambda i: (-rows[i, 5], i))
     keep = []
     alive = set(pool)
     for i in pool:
         if i not in alive:
             continue
-        keep.append(dets[i])
+        keep.append(i)
         alive.discard(i)
         for j in list(alive):
-            if dets[j].class_id == dets[i].class_id and \
-                    diou(dets[j].box, dets[i].box) > threshold:
+            if rows[j, 4] == rows[i, 4] and \
+                    diou(boxes[j], boxes[i]) > threshold:
                 alive.discard(j)
-    return keep
+    return rows[keep]
 
 
 class TestCriterion3DiouNms:
     def test_100_seeds_times_50_boxes_exact_match(self):
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            dets = []
+            rows = []
             for i in range(50):
                 cx, cy = rng.uniform(0, 64, 2)
                 w, h = rng.uniform(2, 20, 2)
-                dets.append(Detection(Box(cx, cy, w, h),
-                                      int(rng.integers(0, 3)),
-                                      float(rng.uniform(0.05, 1.0))))
-            got = diou_nms(dets, 0.45)
-            ref = brute_force_nms(dets, 0.45)
-            assert got == ref, f"seed {seed}: set/order mismatch"
+                rows.append([cx, cy, w, h, int(rng.integers(0, 3)),
+                             float(rng.uniform(0.05, 1.0))])
+            rows = np.array(rows)
+            got = diou_nms(rows, 0.45)
+            ref = brute_force_nms(rows, 0.45)
+            assert got.shape == ref.shape and \
+                got.tobytes() == ref.tobytes(), f"seed {seed}: set/order mismatch"
 
     def test_hand_geometry_cases(self):
         b = Box(3.0, 4.0, 2.0, 2.0)

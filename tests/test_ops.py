@@ -269,6 +269,16 @@ class TestBilinearSample:
             ops.grid_sample_zero(np.ones((1, 2, 2)), np.array([np.nan]),
                                  np.array([0.0]))
 
+    def test_backward_refuses_nan_coordinates_without_warnings(self):
+        # the forward's error, raised before the integer cast can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^grid_sample_zero got "
+                               "non-finite coordinates$"):
+                ops.grid_sample_zero_backward(
+                    np.ones((1, 3, 3)), np.array([np.nan, 1.0]),
+                    np.array([0.5, 1.0]), np.ones((1, 2)))
+
     def test_far_coordinates_sample_zero_without_warnings(self):
         # a coordinate far past any int64 must not reach the integer cast
         plane = np.arange(1.0, 13.0).reshape(1, 3, 4)
@@ -505,6 +515,17 @@ def per_corner_grid_sample_backward(plane, ys, xs, gout):
     return g_plane, g_ys, g_xs
 
 
+def stacked_window_max_pool(x, k):
+    """The max over a stack of every k * k shifted view of the -inf-padded
+    map, in row-major window order."""
+    c, h, w = x.shape
+    p = k // 2
+    xp = np.full((c, h + 2 * p, w + 2 * p), -np.inf)
+    xp[:, p: p + h, p: p + w] = x
+    return np.stack([xp[:, u: u + h, v: v + w]
+                     for u in range(k) for v in range(k)]).max(axis=0)
+
+
 def per_tap_conv2d(x, weight, bias, stride, padding, groups):
     """conv2d summed tap by tap over contiguous copies of each window."""
     cin, h, w = x.shape
@@ -568,3 +589,25 @@ class TestBitExact:
         got = ops.conv2d(x, weight, bias, stride, padding, groups)
         want = per_tap_conv2d(x, weight, bias, stride, padding, groups)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [3, 5, 9, 13])
+    def test_max_pool2d_matches_stacked_windows(self, k):
+        # maps mostly of +-0 tie in -0 / +0 in most windows; +-inf and NaN
+        # in some, and one wider than a window, one narrower
+        rng = np.random.default_rng(k)
+        for shape in ((2, 7, 9), (3, 16, 16), (1, 1, 20), (2, 19, 4)):
+            for x in (rng.choice(SPECIALS[:6], shape, p=[.4, .4, .05, .05, .05, .05]),
+                      rng.choice(SPECIALS, shape),
+                      rng.standard_normal(shape)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = ops.max_pool2d(x, k)
+                assert got.tobytes() == stacked_window_max_pool(x, k).tobytes()
+
+    def test_leaky_relu_matches_where_form(self):
+        rng = np.random.default_rng(23)
+        for x in (SPECIALS, np.array([5e-324, -5e-324, 1e308, -1e308]),
+                  rng.standard_normal(1001) * 10.0,
+                  rng.standard_normal((4, 9, 7))):
+            want = np.where(x > 0, x, 0.1 * x)
+            assert ops.activation("leaky_relu", x).tobytes() == want.tobytes()

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from tridet import ops
 from tridet.config import ModelConfig
 from tridet.model import build_model
-from tridet.postproc import (NMS_TILE, P_CLAMP, Box, Detection, assign_targets,
+from tridet.postproc import (NMS_TILE, P_CLAMP, Box, assign_targets,
                              clamp_stats, decode_predictions, detection_loss,
                              diou, diou_grad, diou_nms, focal_loss,
                              focal_loss_grad_p, format_detection, iou,
@@ -26,14 +26,35 @@ def random_box(rng, span=10.0):
                float(rng.uniform(0.5, span / 2)), float(rng.uniform(0.5, span / 2)))
 
 
-def brute_force_nms(dets, threshold):
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+def det(box, class_id, score):
+    """One detection row: cx, cy, w, h, class_id, score."""
+    return [box.cx, box.cy, box.w, box.h, class_id, score]
+
+
+def row_box(row):
+    return Box(*row[:4].tolist())
+
+
+def brute_force_nms(rows, threshold):
+    """Indices of the rows a greedy scalar-`diou` pass keeps, in rank
+    order: descending score, NaN scores last, then input index."""
+    def rank(i):
+        score = rows[i, 5]
+        return (math.isnan(score), 0.0 if math.isnan(score) else -score, i)
+
     kept = []
-    for i in order:
-        if all(dets[j].class_id != dets[i].class_id
-               or diou(dets[j].box, dets[i].box) <= threshold for j in kept):
+    for i in sorted(range(len(rows)), key=rank):
+        if all(rows[j, 4] != rows[i, 4]
+               or diou(row_box(rows[j]), row_box(rows[i])) <= threshold
+               for j in kept):
             kept.append(i)
-    return [dets[i] for i in kept]
+    return kept
+
+
+def assert_nms_matches_oracle(rows, threshold):
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
+    got = diou_nms(rows, threshold)
+    assert got.tobytes() == rows[brute_force_nms(rows, threshold)].tobytes()
 
 
 def loop_decode(raw, anchors, stride, conf_threshold, num_classes):
@@ -41,7 +62,7 @@ def loop_decode(raw, anchors, stride, conf_threshold, num_classes):
     r = np.asarray(raw, dtype=np.float64).reshape(
         len(anchors), 5 + num_classes, *np.shape(raw)[1:])
     h, w = r.shape[2:]
-    dets = []
+    rows = []
     for a, (aw, ah) in enumerate(anchors):
         obj = ops.sigmoid(r[a, 4])
         cls = ops.sigmoid(r[a, 5:])
@@ -55,8 +76,8 @@ def loop_decode(raw, anchors, stride, conf_threshold, num_classes):
                 cy = (float(ops.sigmoid(r[a, 1, i, j])) + i) * stride
                 bw = aw * math.exp(float(r[a, 2, i, j]))
                 bh = ah * math.exp(float(r[a, 3, i, j]))
-                dets.append(Detection(Box(cx, cy, bw, bh), cid, score))
-    return dets
+                rows.append([cx, cy, bw, bh, cid, score])
+    return np.array(rows, dtype=np.float64).reshape(-1, 6)
 
 
 def encode_box(box, anchor, stride, cell_ij):
@@ -87,7 +108,7 @@ def detection_lists(draw):
         n = draw(st.integers(0, 50))
         rows += [rows[i][:4] + (c, p) for i, c, p in
                  draw(st.lists(copies, min_size=n, max_size=n))]
-    return [Detection(Box(*r[:4]), r[4], r[5]) for r in rows]
+    return np.array(rows, dtype=np.float64).reshape(-1, 6)
 
 
 class TestIoU:
@@ -144,42 +165,40 @@ class TestDIoU:
 
 class TestDIoUNMS:
     def test_single_kept(self):
-        d = Detection(Box(1, 1, 2, 2), 0, 0.5)
-        assert diou_nms([d]) == [d]
+        d = det(Box(1, 1, 2, 2), 0, 0.5)
+        assert diou_nms([d]).tolist() == [d]
 
     def test_identical_boxes_keep_higher_score(self):
-        a = Detection(Box(1, 1, 2, 2), 0, 0.9)
-        b = Detection(Box(1, 1, 2, 2), 0, 0.8)
-        assert diou_nms([b, a], 0.5) == [a]
+        a = det(Box(1, 1, 2, 2), 0, 0.9)
+        b = det(Box(1, 1, 2, 2), 0, 0.8)
+        assert diou_nms([b, a], 0.5).tolist() == [a]
 
     def test_cross_class_not_suppressed(self):
-        a = Detection(Box(1, 1, 2, 2), 0, 0.9)
-        b = Detection(Box(1, 1, 2, 2), 1, 0.8)
+        a = det(Box(1, 1, 2, 2), 0, 0.9)
+        b = det(Box(1, 1, 2, 2), 1, 0.8)
         assert len(diou_nms([a, b], 0.5)) == 2
 
     def test_matches_brute_force_oracle(self):
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            dets = [Detection(random_box(rng), int(rng.integers(0, 3)),
-                              float(rng.uniform(0, 1)))
+            dets = [det(random_box(rng), int(rng.integers(0, 3)),
+                        float(rng.uniform(0, 1)))
                     for _ in range(50)]
-            got = diou_nms(dets, 0.45)
-            ref = brute_force_nms(dets, 0.45)
-            assert got == ref, f"seed {seed}"
+            assert_nms_matches_oracle(dets, 0.45)
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(detection_lists(), st.sampled_from([-0.3, 0.0, 0.3, 0.45, 0.9]))
     def test_property_matches_brute_force_oracle(self, dets, threshold):
-        assert diou_nms(dets, threshold) == brute_force_nms(dets, threshold)
+        assert_nms_matches_oracle(dets, threshold)
 
     def test_degenerate_boxes(self):
         point = Box(2.0, 2.0, 0.0, 0.0)   # c2 == 0 against itself
         line = Box(2.0, 2.0, 0.0, 4.0)    # zero width: IoU 0 against itself
-        dets = [Detection(point, 0, 0.5), Detection(point, 0, 0.5),
-                Detection(line, 1, 0.5), Detection(line, 1, 0.7)]
-        assert diou_nms(dets, 0.0) == brute_force_nms(dets, 0.0)
-        assert diou_nms(dets, -0.5) == [dets[3], dets[0]]
+        dets = [det(point, 0, 0.5), det(point, 0, 0.5),
+                det(line, 1, 0.5), det(line, 1, 0.7)]
+        assert_nms_matches_oracle(dets, 0.0)
+        assert diou_nms(dets, -0.5).tolist() == [dets[3], dets[0]]
 
     @pytest.mark.parametrize("cx", [12.55403779917204, 11.59867016807235])
     def test_threshold_at_diou_rounding_edge(self, cx):
@@ -190,20 +209,19 @@ class TestDIoUNMS:
         by_product = iou(a, b) - (dx * dx) / (cw * cw + 4.0 * 4.0)
         assert by_product != diou(a, b)
         threshold = min(by_product, diou(a, b))
-        dets = [Detection(a, 0, 0.9), Detection(b, 0, 0.8)]
-        assert diou_nms(dets, threshold) == brute_force_nms(dets, threshold)
+        assert_nms_matches_oracle([det(a, 0, 0.9), det(b, 0, 0.8)], threshold)
 
     def test_chain_across_blocks_keeps_every_other_box(self):
         # neighbours 0.5 apart have DIoU 0.58, boxes 1.0 apart 0.30: box
         # 2i + 1 falls to box 2i only, so a dropped row that still drops
         # rows would take box 2i + 2 with it, across three tile boundaries
         n = 3 * NMS_TILE + 1
-        dets = [Detection(Box(0.5 * i, 0.0, 2.0, 2.0), 0, 1.0 - i / n)
-                for i in range(n)]
-        assert diou(dets[0].box, dets[1].box) > 0.45
-        assert diou(dets[0].box, dets[2].box) <= 0.45
-        shuffled = [dets[i] for i in np.random.default_rng(0).permutation(n)]
-        assert diou_nms(shuffled, 0.45) == dets[::2]
+        dets = np.array([det(Box(0.5 * i, 0.0, 2.0, 2.0), 0, 1.0 - i / n)
+                         for i in range(n)])
+        assert diou(row_box(dets[0]), row_box(dets[1])) > 0.45
+        assert diou(row_box(dets[0]), row_box(dets[2])) <= 0.45
+        shuffled = dets[np.random.default_rng(0).permutation(n)]
+        assert diou_nms(shuffled, 0.45).tobytes() == dets[::2].tobytes()
 
     # sizes inside one tile, and around one and two tiles
     @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33, NMS_TILE - 1, NMS_TILE,
@@ -212,14 +230,14 @@ class TestDIoUNMS:
     def test_one_class_at_block_sizes(self, n, threshold):
         for seed in range(5):
             rng = np.random.default_rng([n, seed])
-            dets = [Detection(random_box(rng, 20.0), 0,
-                              float(rng.choice([0.5, rng.uniform(0, 1)])))
+            dets = [det(random_box(rng, 20.0), 0,
+                        float(rng.choice([0.5, rng.uniform(0, 1)])))
                     for _ in range(n - n // 3)]
             # exact copies, some with the same score
             for i in rng.integers(0, len(dets), n // 3):
-                dets.append(Detection(dets[i].box, 0,
-                                      float(rng.choice([dets[i].score, 0.7]))))
-            assert diou_nms(dets, threshold) == brute_force_nms(dets, threshold)
+                dets.append(dets[i][:5]
+                            + [float(rng.choice([dets[i][5], 0.7]))])
+            assert_nms_matches_oracle(dets, threshold)
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-12])
     def test_touching_boxes_do_not_suppress(self, threshold):
@@ -232,10 +250,10 @@ class TestDIoUNMS:
                  for x in range(3) for y in range(3)]
         boxes += [Box.from_corners(1.0, 0.0, 1.0, 3.0), Box(2.0, 2.0, 0.0, 0.0),
                   Box(0.5, 0.5, 0.0, 1.0), Box(1.5, 1.5, 1.0, 1.0)]
-        dets = [Detection(b, 0, 0.9 - 0.01 * i) for i, b in enumerate(boxes)]
-        shuffled = [dets[i] for i in np.random.default_rng(1).permutation(13)]
-        assert diou_nms(shuffled, threshold) == dets[:-1]
-        assert diou_nms(shuffled, threshold) == brute_force_nms(shuffled, threshold)
+        dets = np.array([det(b, 0, 0.9 - 0.01 * i) for i, b in enumerate(boxes)])
+        shuffled = dets[np.random.default_rng(1).permutation(13)]
+        assert diou_nms(shuffled, threshold).tobytes() == dets[:-1].tobytes()
+        assert_nms_matches_oracle(shuffled, threshold)
 
     @pytest.mark.parametrize("threshold", [0.0, 0.45, 0.9])
     def test_dense_field_across_tiles(self, threshold):
@@ -247,16 +265,17 @@ class TestDIoUNMS:
                      rng.uniform(1.5, 2.5), rng.uniform(1.5, 2.5))
                  for x in range(10) for y in range(9)]
         boxes += [Box(b.cx + 0.02, b.cy - 0.01, 1.01 * b.w, b.h) for b in boxes]
-        dets = [Detection(b, 0, float(p))
-                for b, p in zip(boxes, rng.permutation(len(boxes)))]
+        dets = np.array([det(b, 0, float(p))
+                         for b, p in zip(boxes, rng.permutation(len(boxes)))])
         kept = brute_force_nms(dets, threshold)
-        assert diou_nms(dets, threshold) == kept
+        assert diou_nms(dets, threshold).tobytes() == dets[kept].tobytes()
         # some box falls to a kept box in another tile
-        tile = {id(d): r // NMS_TILE for r, d in
-                enumerate(sorted(dets, key=lambda d: -d.score))}
-        assert any(tile[id(k)] != tile[id(d)] and k.score > d.score
-                   and diou(k.box, d.box) > threshold
-                   for k in kept for d in dets if d not in kept)
+        tile = np.empty(len(dets), dtype=int)
+        tile[np.argsort(-dets[:, 5], kind="stable")] = \
+            np.arange(len(dets)) // NMS_TILE
+        assert any(tile[k] != tile[d] and dets[k, 5] > dets[d, 5]
+                   and diou(row_box(dets[k]), row_box(dets[d])) > threshold
+                   for k in kept for d in range(len(dets)) if d not in kept)
 
     @pytest.mark.parametrize("threshold", [0.45, 0.0, -0.3, math.nan])
     def test_non_finite_boxes_match_oracle(self, threshold):
@@ -269,19 +288,52 @@ class TestDIoUNMS:
                 fields = rng.uniform(0, 8, (n, 4))
                 bad = rng.uniform(size=(n, 4)) < 0.08
                 fields[bad] = rng.choice([np.nan, np.inf, -np.inf], bad.sum())
-                dets = [Detection(Box(*map(float, f)), int(rng.integers(0, 2)),
-                                  float(rng.uniform())) for f in fields]
-                assert diou_nms(dets, threshold) == brute_force_nms(dets, threshold)
+                dets = [det(Box(*map(float, f)), int(rng.integers(0, 2)),
+                            float(rng.uniform())) for f in fields]
+                assert_nms_matches_oracle(dets, threshold)
+
+    def test_nan_scores_rank_last_by_index(self):
+        # disjoint boxes, so every row is kept and the output is the rank
+        nan = math.nan
+        scores = [0.3, nan, 0.9, nan, 0.3, 0.5, nan]
+        dets = np.array([det(Box(10.0 * i, 0.0, 2.0, 2.0), i % 2, p)
+                         for i, p in enumerate(scores)])
+        got = diou_nms(dets, 0.45)
+        assert got.tobytes() == dets[[2, 5, 0, 4, 1, 3, 6]].tobytes()
+        # and with overlaps: a NaN-score row falls to any kept row of its
+        # class, and keeps later NaN-score rows out
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            dets = np.array([det(random_box(rng), int(rng.integers(0, 2)),
+                                 float(rng.choice([nan, rng.uniform()])))
+                             for _ in range(int(rng.integers(1, 40)))])
+            assert_nms_matches_oracle(dets, 0.45)
+
+    def test_nan_score_map_through_decode_and_nms(self):
+        # zero logits: boxes 8 x 8 at stride 8 touch but never overlap, so
+        # NMS keeps every row; NaN objectness logits give NaN scores
+        anchors = ((8.0, 8.0),)
+        raw = np.zeros((7, 3, 3))
+        raw[4, [0, 1, 2], [2, 1, 0]] = np.nan
+        rows = decode_predictions(raw, anchors, 8, 0.2, 2)
+        assert len(rows) == 9
+        nan_rows = np.isnan(rows[:, 5])
+        assert nan_rows.tolist() == [False, False, True, False, True,
+                                     False, True, False, False]
+        got = diou_nms(rows, 0.45)
+        assert got.tobytes() == np.concatenate(
+            [rows[~nan_rows], rows[nan_rows]]).tobytes()
+        assert_nms_matches_oracle(rows, 0.45)
 
     def test_subset_order_idempotent(self):
         rng = np.random.default_rng(3)
-        dets = [Detection(random_box(rng), int(rng.integers(0, 2)),
-                          float(rng.uniform(0, 1))) for _ in range(30)]
+        dets = np.array([det(random_box(rng), int(rng.integers(0, 2)),
+                             float(rng.uniform(0, 1))) for _ in range(30)])
         kept = diou_nms(dets)
-        assert all(k in dets for k in kept)
-        scores = [k.score for k in kept]
+        assert all(k.tolist() in dets.tolist() for k in kept)
+        scores = kept[:, 5].tolist()
         assert scores == sorted(scores, reverse=True)
-        assert diou_nms(kept) == kept
+        assert diou_nms(kept).tobytes() == kept.tobytes()
 
 
 class TestFocalLoss:
@@ -386,19 +438,18 @@ class TestDecode:
     def test_zero_logits_center_convention(self):
         raw = np.zeros((2 * 7, 2, 2))
         dets = decode_predictions(raw, self.ANCHORS, 8, -0.1, 2)
-        cell00 = [d for d in dets
-                  if d.box.cx == 4.0 and d.box.cy == 4.0]
-        assert cell00  # (sigmoid(0) + 0) * 8 = 4
-        assert all(d.score == 0.25 for d in dets)
+        cell00 = (dets[:, 0] == 4.0) & (dets[:, 1] == 4.0)
+        assert cell00.any()  # (sigmoid(0) + 0) * 8 = 4
+        assert (dets[:, 5] == 0.25).all()
 
     def test_tw_zero_gives_anchor_extent(self):
         raw = np.zeros((2 * 7, 1, 1))
         dets = decode_predictions(raw, self.ANCHORS, 32, -0.1, 2)
-        assert {d.box.w for d in dets} == {8.0, 16.0}
+        assert set(dets[:, 2].tolist()) == {8.0, 16.0}
 
     def test_zero_weights_emit_nothing_at_default_threshold(self):
         raw = np.zeros((2 * 7, 4, 4))
-        assert decode_predictions(raw, self.ANCHORS, 8, 0.25, 2) == []
+        assert decode_predictions(raw, self.ANCHORS, 8, 0.25, 2).shape == (0, 6)
 
     def test_count_matches_naive_scan(self):
         rng = np.random.default_rng(6)
@@ -421,7 +472,7 @@ class TestDecode:
         raw[4, 0, 1] = 1.0   # cell 1: score sigmoid(1) / 2, cell 0: 0.25
         dets = decode_predictions(raw, self.ANCHORS[:1], 8, 0.25, 2)
         assert len(dets) == 1
-        assert dets[0].class_id == 0 and dets[0].box.cx == 12.0
+        assert dets[0, 4] == 0 and dets[0, 0] == 12.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
@@ -434,14 +485,27 @@ class TestDecode:
         raw = np.array(data.draw(st.lists(logits, min_size=size,
                                           max_size=size))).reshape(shape)
         anchors = ((8.0, 8.0), (16.0, 12.0), (12.0, 16.0))[:n_anchors]
-        scores = [d.score for d in loop_decode(raw, anchors, 16, -1.0, nc)]
+        scores = loop_decode(raw, anchors, 16, -1.0, nc)[:, 5].tolist()
         # a threshold equal to an attained score, or any in [0, 1]
         threshold = data.draw(st.one_of(st.sampled_from(scores),
                                         st.floats(0.0, 1.0)))
         got = decode_predictions(raw, anchors, 16, threshold, nc)
         ref = loop_decode(raw, anchors, 16, threshold, nc)
-        # repr spells out every field and its type, float values exactly
-        assert [repr(d) for d in got] == [repr(d) for d in ref]
+        assert got.dtype == np.float64 and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    def test_overflow_names_first_candidate_and_logit(self):
+        # candidates in (anchor, row, column) order: exp(700) is finite,
+        # anchor 1 cell (0, 1) overflows in its height beside a NaN width,
+        # and a later candidate overflows too
+        r = np.zeros((2, 7, 2, 2))
+        r[0, 2, 1, 1] = 700.0
+        r[1, 2:4, 0, 1] = np.nan, 800.0
+        r[1, 2, 1, 0] = 900.0
+        with pytest.raises(ValueError) as exc:
+            decode_predictions(r.reshape(14, 2, 2), self.ANCHORS, 8, -0.1, 2)
+        assert str(exc.value) == ("extent logit 800.0 at stride 8, anchor 1, "
+                                  "cell (0, 1) overflows exp")
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ops.ShapeError):
@@ -461,9 +525,24 @@ class TestDecode:
         assert ops.relative_error(np.array(back), raw) < 1e-9
 
     def test_format_line(self):
-        det = Detection(Box(1.5, 2.0, 3.0, 4.0), 1, 0.875)
-        line = format_detection("img.ppm", det)
-        assert line == "img.ppm 1 0.875000 1.500000 2.000000 3.000000 4.000000"
+        rows = np.array([det(Box(1.5, 2.0, 3.0, 4.0), 1, 0.875)])
+        text = format_detection("img.ppm", rows)
+        assert text == "img.ppm 1 0.875000 1.500000 2.000000 3.000000 4.000000\n"
+        assert format_detection("img.ppm", rows[:0]) == ""
+
+    @pytest.mark.parametrize("image_id", ["img.ppm", "my dir/100% a.ppm",
+                                          "%s %d %%.ppm"])
+    def test_format_matches_per_line_f_string(self, image_id):
+        # the per-detection f-string each printed line used to come from
+        rng = np.random.default_rng(12)
+        rows = rng.uniform(-1e3, 1e3, (60, 6))
+        rows[:, 4] = rng.integers(0, 80, 60)
+        rows[:6, :4] = [[np.nan, np.inf, -np.inf, -0.0]] * 6
+        rows[6:12, 5] = [np.nan, 0.0, -0.0, 1e-7, 0.5 - 5e-7, 1e300]
+        want = "".join(f"{image_id} {int(c)} {p:.6f} {x:.6f} {y:.6f} "
+                       f"{w:.6f} {h:.6f}\n"
+                       for x, y, w, h, c, p in rows.tolist())
+        assert format_detection(image_id, rows) == want
 
 
 class TestDetectionLoss:
