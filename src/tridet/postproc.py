@@ -147,18 +147,16 @@ def diou_nms(rows, threshold=0.45):
     or NaN threshold, or coordinates large enough for a square to
     overflow (inf / inf is NaN), every later row is a pair."""
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
-    n = len(rows)
     # lexsort puts NaN keys last; its last key is the primary one
-    ranked = rows[np.lexsort((np.arange(n), -rows[:, 5]))]
-    b = ranked[:, :4].T
-    cls = ranked[:, 4]
+    ranked = rows[np.lexsort((np.arange(len(rows)), -rows[:, 5]))]
+    b, cls = ranked[:, :4].T, ranked[:, 4]
     # rows x0, y0, x1, y1 (corners), cx, cy, area
     planes = np.vstack([b[:2] - b[2:] / 2, b[:2] + b[2:] / 2, b[:2],
                         b[2] * b[3]])
     # a difference of two corners or centers is at most 2 * big
     big = float(np.abs(planes[:4]).max(initial=0.0))
     every = not (threshold >= 0 and math.isfinite(8 * big * big))
-    alive = np.ones(n, dtype=bool)
+    alive = np.ones(len(ranked), dtype=bool)
     for c in set(cls.tolist()):
         seg = np.flatnonzero(cls == c)
         m = len(seg)
