@@ -195,7 +195,7 @@ def conv_block(in_c, out_c, k, rng, stride=1, depthwise=False):
     return Sequential(*stages, Activation("leaky_relu"))
 
 
-def sgd_step(model, lr):
-    for p in model.params():
-        if p.trainable:
-            p.value -= lr * p.grad
+def sgd_step(params, lr):
+    """One plain gradient-descent step over a list of trainable Params."""
+    for p in params:
+        p.value -= lr * p.grad

@@ -9,10 +9,11 @@ keeps state and nothing builds a graph.  The central-difference oracle
 tested against.
 
 Forward values are pinned bit for bit (the `run` digests and
-tests/model_reference.npz), so two summation orders are fixed: `conv2d`
-adds one einsum per tap in row-major (u, v) order and `grid_sample_zero`
-adds its corners in the order (0, 0), (0, 1), (1, 0), (1, 1).  Any other
-order, or one contraction over all taps, rounds differently.
+tests/model_reference.npz), so two orders of adds are fixed, not the
+number of calls that compute the terms: `conv2d` adds its tap products in
+row-major (u, v) order and `grid_sample_zero` adds its corners in the
+order (0, 0), (0, 1), (1, 0), (1, 1).  Any other order, or one
+contraction over all taps, rounds differently.
 """
 
 from __future__ import annotations
@@ -84,15 +85,30 @@ def _pad(x, padding, fill=0.0):
     return xp
 
 
+def _windows(xp, kh, kw, stride, ho, wo, groups):
+    """Read-only view [kH, kW, groups, C/groups, Ho, Wo] of the C-contiguous
+    padded map xp; entry [u, v] is the window tap (u, v) reads.  Built with
+    np.ndarray, as as_strided held on to ~1 MB and raised peak RSS."""
+    xp = np.ascontiguousarray(xp)
+    (c, _, _), (s0, s1, s2) = xp.shape, xp.strides
+    win = np.ndarray((kh, kw, groups, c // groups, ho, wo), xp.dtype, xp, 0,
+                     (s1, s2, s0 * (c // groups), s0, s1 * stride, s2 * stride))
+    win.flags.writeable = False
+    return win
+
+
+TAP_BATCH_BYTES = 1 << 20  # at most this many bytes of products in one einsum
+
+
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     """Standard 2-D cross-correlation.
 
     x: [Cin, H, W], weight: [Cout, Cin/groups, kH, kW], bias: [Cout].
 
-    The sum runs tap by tap, one einsum per (u, v) in row-major order,
-    each reading a strided view of the padded input and of the weight.  A
-    single im2col matmul would be faster but sums in another order, and
-    the `run` output must stay byte-identical to the stored digests.
+    Each tap's product, one window against the weight's [u, v] slice, is
+    added into zeros in row-major (u, v) order, the order the `run` digests
+    pin.  While all products fit in TAP_BATCH_BYTES one einsum computes
+    them, otherwise one einsum per tap does; the two round the same.
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
@@ -100,15 +116,19 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
         x, weight, stride, padding, groups)
     cg = cin // groups
     og = cout // groups
-    xg = _pad(x, padding).reshape(groups, cg, h + 2 * padding, -1)
+    win = _windows(_pad(x, padding), kh, kw, stride, ho, wo, groups)
     # [kH, kW, groups, og, cg], so that wt[u, v] is a view
     wt = weight.reshape(groups, og, cg, kh, kw).transpose(3, 4, 0, 1, 2)
+    if kh * kw * cout * ho * wo * 8 <= TAP_BATCH_BYTES:
+        # a strided weight here makes einsum several times slower
+        taps = np.einsum("uvgchw,uvgoc->uvgohw", win, np.ascontiguousarray(wt))
+        taps = taps.reshape(kh * kw, groups, og, ho, wo)
+    else:
+        taps = (np.einsum("gchw,goc->gohw", win[u, v], wt[u, v])
+                for u in range(kh) for v in range(kw))
     out = np.zeros((groups, og, ho, wo))
-    for u in range(kh):
-        for v in range(kw):
-            patch = xg[:, :, u: u + stride * (ho - 1) + 1: stride,
-                       v: v + stride * (wo - 1) + 1: stride]
-            out += np.einsum("gchw,goc->gohw", patch, wt[u, v])
+    for tap in taps:
+        out += tap
     out = out.reshape(cout, ho, wo)
     if bias is not None:
         bias = _as_f64(bias)
@@ -121,11 +141,12 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
 def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
     """Gradients of conv2d w.r.t. input, weight and bias.
 
-    im2col: the k*k strided windows of the padded input are copied once
-    into cols [Cin, kH, kW, Ho, Wo].  Its rows, ordered (c, u, v) within
-    each group, line up with weight.reshape(groups, og, cg*kH*kW), so
-    gw = gy @ cols^T and gcols = W^T @ gy are one batched matmul over
-    groups each.  col2im then adds gcols back through the same windows.
+    im2col: cols [Cin, kH, kW, Ho, Wo] is one C-contiguous copy of the
+    windows (a strided cols rounds gw differently).  Its rows, ordered
+    (c, u, v) within each group, line up with weight.reshape(groups, og,
+    cg*kH*kW), so gw = gy @ cols^T and gcols = W^T @ gy are one batched
+    matmul over groups each.  col2im then adds gcols back through the same
+    windows, one tap at a time in row-major (u, v) order.
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
@@ -137,20 +158,18 @@ def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
     xp = _pad(x, padding)
     cg = cin // groups
     og = cout // groups
-    taps = [(u, v, slice(u, u + stride * (ho - 1) + 1, stride),
-             slice(v, v + stride * (wo - 1) + 1, stride))
-            for u in range(kh) for v in range(kw)]
-    cols = np.empty((cin, kh, kw, ho, wo))
-    for u, v, hsl, wsl in taps:
-        cols[:, u, v] = xp[:, hsl, wsl]
+    win = _windows(xp, kh, kw, stride, ho, wo, groups)
+    cols = np.ascontiguousarray(win.transpose(2, 3, 0, 1, 4, 5))
     cols = cols.reshape(groups, cg * kh * kw, ho * wo)
     gyr = gy.reshape(groups, og, ho * wo)
     gw = np.matmul(gyr, cols.transpose(0, 2, 1))
     wg = weight.reshape(groups, og, cg * kh * kw)
     gcols = np.matmul(wg.transpose(0, 2, 1), gyr).reshape(cin, kh, kw, ho, wo)
     gxp = np.zeros(xp.shape)
-    for u, v, hsl, wsl in taps:
-        gxp[:, hsl, wsl] += gcols[:, u, v]
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, u: u + stride * (ho - 1) + 1: stride,
+                v: v + stride * (wo - 1) + 1: stride] += gcols[:, u, v]
     gx = gxp[:, padding: padding + h, padding: padding + w]
     return gx, gw.reshape(cout, cg, kh, kw), gy.sum(axis=(1, 2))
 
@@ -183,14 +202,6 @@ def fully_connected_backward(x, weight, gy):
 # pooling
 # ---------------------------------------------------------------------------
 
-def _pool_windows(x, k):
-    """Stacked k*k shifted views of x padded with -inf; shape [k*k, C, H, W]."""
-    c, h, w = x.shape
-    xp = _pad(x, k // 2, -np.inf)
-    views = [xp[:, u: u + h, v: v + w] for u in range(k) for v in range(k)]
-    return np.stack(views, axis=0)
-
-
 def max_pool2d(x, k):
     """Stride-1 max pool with same-size output; k must be odd.  A running
     maximum along the rows, then down the columns, meets each window in
@@ -211,13 +222,16 @@ def max_pool2d(x, k):
 
 
 def max_pool2d_backward(x, k, gy):
+    """Routes each gy cell to the first maximum of its window of the
+    -inf-padded map, the offsets taken in row-major order; that order is
+    pinned, not how the windows are gathered."""
     x = _as_f64(x)
     gy = _as_f64(gy)
     if k % 2 == 0:
         raise ShapeError(f"max_pool2d kernel must be odd, got {k}")
-    stacked = _pool_windows(x, k)
-    arg = stacked.argmax(axis=0)
     c, h, w = x.shape
+    win = _windows(_pad(x, k // 2, -np.inf), k, k, 1, h, w, 1)
+    arg = win.reshape(k * k, c, h, w).argmax(axis=0)
     pad = k // 2
     # argmax index k*k decomposes into the window offset (u, v)
     u = arg // k

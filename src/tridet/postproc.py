@@ -266,7 +266,10 @@ def decode_predictions(raw, anchors, stride, conf_threshold, num_classes):
     origin times the stride, extents from exponential anchor scaling.
     Returns float64 rows [N, 6] of `cx, cy, w, h, class_id, score` in
     (anchor, row, column) order, without scores at or below the threshold
-    (a NaN score is kept, as `score <= conf_threshold` is false)."""
+    (a NaN score is kept, as `score <= conf_threshold` is false).  The
+    first finite extent logit whose exp, or exp times its anchor, is
+    infinite raises a ValueError naming it; NaN and infinite logits pass
+    through as NaN, 0 and inf extents."""
     r = _split_raw(np.asarray(raw, dtype=np.float64), len(anchors),
                    num_classes)
     cls = ops.sigmoid(r[:, 5:])
@@ -275,19 +278,23 @@ def decode_predictions(raw, anchors, stride, conf_threshold, num_classes):
     t = r[aa, :4, ii, jj]
     # math.exp, not np.exp: numpy's SIMD exp may round differently
     ext = []
-    try:
-        for v in t[:, 2:].ravel().tolist():
+    for v in t[:, 2:].ravel().tolist():
+        try:
             ext.append(math.exp(v))
-    except OverflowError:
-        k = len(ext) // 2
-        logit = float(np.nanmax(t[k, 2:]))
+        except OverflowError:
+            ext.append(math.inf)
+    with np.errstate(over="ignore"):
+        wh = np.reshape(ext, (-1, 2)) * np.asarray(anchors, float)[aa]
+    # a finite logit whose exp, or exp times the anchor, is infinite
+    over = np.flatnonzero(np.isinf(wh) & np.isfinite(t[:, 2:]))
+    if over.size:
+        k, e = divmod(int(over[0]), 2)
         raise ValueError(
-            f"extent logit {logit!r} at stride {stride}, anchor {aa[k]}, "
-            f"cell ({ii[k]}, {jj[k]}) overflows exp") from None
+            f"extent logit {float(t[k, 2 + e])!r} at stride {stride}, "
+            f"anchor {aa[k]}, cell ({ii[k]}, {jj[k]}) overflows exp")
     return np.column_stack((
         (ops.sigmoid(t[:, 0]) + jj) * stride, (ops.sigmoid(t[:, 1]) + ii) * stride,
-        np.reshape(ext, (-1, 2)) * np.asarray(anchors, float)[aa],
-        cls.argmax(axis=1)[aa, ii, jj], score[aa, ii, jj]))
+        wh, cls.argmax(axis=1)[aa, ii, jj], score[aa, ii, jj]))
 
 
 def format_detection(image_id, rows):

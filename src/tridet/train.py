@@ -51,6 +51,9 @@ def train_toy(model: Model, cfg: ModelConfig, steps, seed, lr=0.01,
     """Plain gradient descent on the fixed scene; returns the loss curve."""
     sample = training_sample(cfg, seed)
     targets = [(b.box, b.class_id) for b in sample.boxes]
+    # built once: a walk of the module tree costs more than zeroing and
+    # stepping the list it yields
+    params = [p for p in model.params() if p.trainable]
     curve = []
     for step in range(steps + 1):
         raws = model.forward(sample.pixels)
@@ -64,9 +67,10 @@ def train_toy(model: Model, cfg: ModelConfig, steps, seed, lr=0.01,
                 f"cls {comps['cls']:.6f}")
         if step == steps:
             break
-        model.zero_grad()
+        for p in params:
+            p.grad[...] = 0.0
         model.backward(graws)
-        sgd_step(model, lr)
+        sgd_step(params, lr)
     return curve
 
 

@@ -543,6 +543,48 @@ def per_tap_conv2d(x, weight, bias, stride, padding, groups):
     return out.reshape(cout, ho, wo) + bias[:, None, None]
 
 
+def loop_im2col_conv2d_backward(x, weight, gy, stride, padding, groups):
+    """conv2d_backward with its im2col buffer filled and its col2im drained
+    one tap slice at a time."""
+    cin, h, w = x.shape
+    cout, cg, kh, kw = weight.shape
+    ho, wo = gy.shape[1:]
+    og = cout // groups
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    taps = [(u, v, slice(u, u + stride * (ho - 1) + 1, stride),
+             slice(v, v + stride * (wo - 1) + 1, stride))
+            for u in range(kh) for v in range(kw)]
+    cols = np.empty((cin, kh, kw, ho, wo))
+    for u, v, hsl, wsl in taps:
+        cols[:, u, v] = xp[:, hsl, wsl]
+    cols = cols.reshape(groups, cg * kh * kw, ho * wo)
+    gyr = gy.reshape(groups, og, ho * wo)
+    gw = np.matmul(gyr, cols.transpose(0, 2, 1))
+    wg = weight.reshape(groups, og, cg * kh * kw)
+    gcols = np.matmul(wg.transpose(0, 2, 1), gyr).reshape(cin, kh, kw, ho, wo)
+    gxp = np.zeros(xp.shape)
+    for u, v, hsl, wsl in taps:
+        gxp[:, hsl, wsl] += gcols[:, u, v]
+    gx = gxp[:, padding: padding + h, padding: padding + w]
+    return gx, gw.reshape(weight.shape), gy.sum(axis=(1, 2))
+
+
+def stacked_window_max_pool_backward(x, k, gy):
+    """max_pool2d_backward over the np.stack of every k * k shifted view."""
+    c, h, w = x.shape
+    p = k // 2
+    xp = np.full((c, h + 2 * p, w + 2 * p), -np.inf)
+    xp[:, p: p + h, p: p + w] = x
+    arg = np.stack([xp[:, u: u + h, v: v + w]
+                    for u in range(k) for v in range(k)]).argmax(axis=0)
+    ci, oy, ox = np.indices(x.shape)
+    src_y, src_x = oy + arg // k - p, ox + arg % k - p
+    valid = (src_y >= 0) & (src_y < h) & (src_x >= 0) & (src_x < w)
+    gx = np.zeros_like(x)
+    np.add.at(gx, (ci[valid], src_y[valid], src_x[valid]), gy[valid])
+    return gx
+
+
 SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0,
                      -745.0, 1e-300, -1e-300, 1.0, -1.0, 3.0, -3.0])
 
@@ -577,18 +619,78 @@ class TestBitExact:
                              per_corner_grid_sample_backward(plane, ys, xs, gout)):
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("cin,cout,k,stride,padding,groups", [
-        (3, 8, 3, 2, 1, 1), (8, 8, 3, 1, 1, 1), (8, 8, 3, 2, 1, 8),
-        (6, 4, 1, 1, 0, 1), (8, 12, 3, 1, 1, 4), (4, 6, 5, 1, 2, 2)])
+    @pytest.mark.parametrize("cin,cout,k,stride,padding,groups,hw", [
+        pytest.param(*conv, (9, 7), id="-".join(map(str, conv))) for conv in (
+            (3, 8, 3, 2, 1, 1), (8, 8, 3, 1, 1, 1), (8, 8, 3, 2, 1, 8),
+            (6, 4, 1, 1, 0, 1), (8, 12, 3, 1, 1, 4), (4, 6, 5, 1, 2, 2))] + [
+        # one output cell: 25 taps a pairwise sum would add in another order
+        (4, 1, 5, 1, 0, 1, (5, 5)), (6, 2, 5, 2, 1, 2, (3, 4)),
+        # all tap products just within TAP_BATCH_BYTES, then just over it
+        (4, 16, 3, 1, 1, 1, (30, 30)), (4, 16, 3, 1, 1, 1, (31, 31)),
+        # the stem's 16 x 64 x 64 output, far over it
+        (3, 16, 3, 1, 1, 1, (64, 64))])
     def test_conv2d_matches_per_tap_copies(self, cin, cout, k, stride,
-                                           padding, groups):
+                                           padding, groups, hw):
         rng = np.random.default_rng(cin * cout + k)
-        x = rng.standard_normal((cin, 9, 7))
+        x = rng.standard_normal((cin, *hw))
         weight = rng.standard_normal((cout, cin // groups, k, k))
         bias = rng.standard_normal(cout)
-        got = ops.conv2d(x, weight, bias, stride, padding, groups)
-        want = per_tap_conv2d(x, weight, bias, stride, padding, groups)
-        assert got.tobytes() == want.tobytes()
+        # the same weights on a map sprinkled with +-0, +-inf and NaN
+        specials = x.copy()
+        cells = rng.random(x.shape) < 0.05
+        specials[cells] = rng.choice(SPECIALS[:6], cells.sum())
+        for inp in (x, specials):
+            with np.errstate(invalid="ignore"):
+                got = ops.conv2d(inp, weight, bias, stride, padding, groups)
+                want = per_tap_conv2d(inp, weight, bias, stride, padding,
+                                      groups)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_conv2d_layout_independent(self, k, stride):
+        # a transposed map, channels innermost, gives the bytes of its
+        # C-contiguous copy; padding 0 hands conv2d the map itself
+        rng = np.random.default_rng(10 * k + stride)
+        for cin, cout, groups, hw in ((14, 4, 1, (3, 9)), (56, 52, 4, (7, 3)),
+                                      (12, 16, 1, (8, 6)), (32, 20, 4, (11, 5)),
+                                      (12, 26, 2, (9, 3)), (8, 8, 8, (5, 9))):
+            x = rng.standard_normal((hw[1], hw[0], cin)).T
+            weight = rng.standard_normal((cout, cin // groups, k, k))
+            assert ops.conv2d(x, weight, None, stride, 0, groups).tobytes() \
+                == ops.conv2d(x.copy(), weight, None, stride, 0,
+                              groups).tobytes()
+
+    @pytest.mark.parametrize("cin,cout,k,stride,padding,groups,hw", [
+        (4, 6, 1, 2, 0, 1, (9, 7)), (6, 4, 1, 1, 0, 2, (8, 8)),
+        (4, 6, 5, 1, 2, 2, (9, 7)), (8, 8, 5, 2, 2, 8, (6, 10)),
+        (3, 8, 3, 2, 1, 1, (9, 7)), (8, 12, 3, 1, 1, 4, (5, 5)),
+        # a single output row or column; on the 1 x 1 stride-2 ones an
+        # im2col buffer left a strided view rounds gw differently
+        (4, 6, 3, 1, 0, 1, (3, 8)), (4, 6, 3, 2, 1, 2, (8, 1)),
+        (4, 8, 3, 1, 1, 1, (1, 1)), (7, 1, 1, 2, 0, 1, (2, 34)),
+        (28, 4, 1, 2, 0, 4, (2, 24)), (14, 2, 1, 2, 0, 2, (1, 30))])
+    def test_conv2d_backward_matches_loop_im2col(self, cin, cout, k, stride,
+                                                 padding, groups, hw):
+        rng = np.random.default_rng(cin * cout * k + stride + sum(hw))
+        x = rng.standard_normal((cin, *hw))
+        weight = rng.standard_normal((cout, cin // groups, k, k))
+        gy = rng.standard_normal(
+            (cout, *ops.conv2d_out_hw(*hw, k, k, stride, padding)))
+        got = ops.conv2d_backward(x, weight, gy, stride, padding, groups)
+        want = loop_im2col_conv2d_backward(x, weight, gy, stride, padding,
+                                           groups)
+        for name, g, r in zip(("gx", "gw", "gb"), got, want):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes(), name
+
+    @pytest.mark.parametrize("k", [3, 5, 9, 13])
+    def test_max_pool2d_backward_matches_stacked_windows(self, k):
+        rng = np.random.default_rng(50 + k)
+        for shape in ((2, 7, 9), (3, 16, 16), (1, 1, 20), (2, 19, 4)):
+            gy = rng.standard_normal(shape)
+            for x in (rng.choice(SPECIALS[:6], shape), rng.standard_normal(shape)):
+                got = ops.max_pool2d_backward(x, k, gy)
+                assert got.tobytes() == \
+                    stacked_window_max_pool_backward(x, k, gy).tobytes()
 
     @pytest.mark.parametrize("k", [3, 5, 9, 13])
     def test_max_pool2d_matches_stacked_windows(self, k):

@@ -2,6 +2,7 @@
 loss and label smoothing reductions, decoding, and the composite loss."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -506,6 +507,26 @@ class TestDecode:
             decode_predictions(r.reshape(14, 2, 2), self.ANCHORS, 8, -0.1, 2)
         assert str(exc.value) == ("extent logit 800.0 at stride 8, anchor 1, "
                                   "cell (0, 1) overflows exp")
+
+    def test_overflow_of_exp_times_anchor_names_first_candidate(self):
+        # exp(708) is finite and 8 * exp(708) is not: anchor 0 cell (1, 0)
+        # overflows in its height after an infinite width logit (passed
+        # through) and 8 * exp(705) (finite), and before an exp overflow
+        r = np.zeros((2, 7, 2, 2))
+        r[0, 2, 0, 0] = np.inf
+        r[0, 2, 0, 1] = 705.0
+        r[0, 2:4, 1, 0] = 705.0, 708.0
+        r[1, 3, 0, 0] = 800.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                decode_predictions(r.reshape(14, 2, 2), self.ANCHORS, 8, -0.1, 2)
+            assert str(exc.value) == ("extent logit 708.0 at stride 8, "
+                                      "anchor 0, cell (1, 0) overflows exp")
+            r[0, 3, 1, 0] = r[1, 3, 0, 0] = 0.0
+            rows = decode_predictions(r.reshape(14, 2, 2), self.ANCHORS, 8,
+                                      -0.1, 2)
+        assert rows[0, 2] == np.inf and rows[1, 2] == 8 * math.exp(705.0)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ops.ShapeError):
