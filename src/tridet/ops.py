@@ -9,11 +9,14 @@ keeps state and nothing builds a graph.  The central-difference oracle
 tested against.
 
 Forward values are pinned bit for bit (the `run` digests and
-tests/model_reference.npz), so two orders of adds are fixed, not the
-number of calls that compute the terms: `conv2d` adds its tap products in
-row-major (u, v) order and `grid_sample_zero` adds its corners in the
-order (0, 0), (0, 1), (1, 0), (1, 1).  Any other order, or one
-contraction over all taps, rounds differently.
+tests/model_reference.npz), and so are these kernels' gradients
+(tests/test_ops.py), so the orders of adds are fixed, not the number of
+calls that compute the terms: `conv2d` adds its tap products in
+row-major (u, v) order, `grid_sample_zero` adds its corners in the order
+(0, 0), (0, 1), (1, 0), (1, 1), and the backward scatters of the sampler
+and the max pool add each cell's terms one by one, a corner's after the
+previous corner's.  Any other order, or one contraction over all taps,
+rounds differently.
 """
 
 from __future__ import annotations
@@ -221,29 +224,37 @@ def max_pool2d(x, k):
     return out
 
 
+def _scatter_add(cells, values, n):
+    """[n] sums of values by cell, each cell's added one by one in the given
+    order; a cell that gets NaNs ends on the last one, not bincount's first."""
+    out = np.bincount(cells, values, n)
+    nan = np.isnan(values)
+    if nan.any():
+        out[cells[nan]] = values[nan]  # repeated cells: the last one stays
+    return out
+
+
 def max_pool2d_backward(x, k, gy):
     """Routes each gy cell to the first maximum of its window of the
     -inf-padded map, the offsets taken in row-major order; that order is
-    pinned, not how the windows are gathered."""
+    pinned, not how the windows are gathered.  One bincount over the flat
+    source cell adds the routed cells in row-major (c, y, x) order."""
     x = _as_f64(x)
     gy = _as_f64(gy)
     if k % 2 == 0:
         raise ShapeError(f"max_pool2d kernel must be odd, got {k}")
+    _check_map("max_pool2d_backward", x)
+    if gy.shape != x.shape:
+        raise ShapeError(f"gy shape {gy.shape} != {x.shape}")
     c, h, w = x.shape
     win = _windows(_pad(x, k // 2, -np.inf), k, k, 1, h, w, 1)
-    arg = win.reshape(k * k, c, h, w).argmax(axis=0)
-    pad = k // 2
     # argmax index k*k decomposes into the window offset (u, v)
-    u = arg // k
-    v = arg % k
-    oy, ox = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    src_y = oy + u - pad
-    src_x = ox + v - pad
-    ci = np.broadcast_to(np.arange(c)[:, None, None], x.shape)
-    gx = np.zeros_like(x)
-    valid = (src_y >= 0) & (src_y < h) & (src_x >= 0) & (src_x < w)
-    np.add.at(gx, (ci[valid], src_y[valid], src_x[valid]), gy[valid])
-    return gx
+    u, v = np.divmod(win.reshape(k * k, c, h, w).argmax(axis=0), k)
+    sy = u + np.arange(-(k // 2), h - k // 2)[:, None]
+    sx = v + np.arange(-(k // 2), w - k // 2)
+    valid = (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
+    src = (sy + h * np.arange(c)[:, None, None]) * w + sx
+    return _scatter_add(src[valid], gy[valid], x.size).reshape(x.shape)
 
 
 def directional_pool(x):
@@ -266,15 +277,20 @@ def directional_pool_backward(x, g_qh, g_qw):
 # bilinear sampling (zero padding outside the grid)
 # ---------------------------------------------------------------------------
 
+# the four cells around a coordinate, (dy, dx) in the summation order
+_DY, _DX = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+
+
 def _corners(plane, ys, xs):
     """Flat cell indices into plane.reshape(C, -1), validity masks and
     validity-masked bilinear weights of the four corners, each [4, *ys.shape],
-    and the fractional parts (ly, lx) of the coordinates."""
+    and the fractional parts (ly, lx) of the coordinates.  The corner cells
+    are exact small integers in float64 until one cast to np.intp."""
+    if ys.shape != xs.shape:
+        raise ShapeError(f"grid_sample_zero ys shape {ys.shape} != xs shape {xs.shape}")
     if not (np.isfinite(ys).all() and np.isfinite(xs).all()):
         raise ValueError("grid_sample_zero got non-finite coordinates")
     h, w = plane.shape[1:]
-    # the four cells around a coordinate, (dy, dx) in the summation order
-    dy, dx = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
     # no cell of a coordinate outside [-1, extent] is on the grid: clip for the cast
     ys = np.minimum(np.maximum(ys, -2), h + 1)
     xs = np.minimum(np.maximum(xs, -2), w + 1)
@@ -283,14 +299,18 @@ def _corners(plane, ys, xs):
     ly = ys - y0
     lx = xs - x0
     corner = (slice(None),) + (None,) * ys.ndim
-    yy = y0.astype(np.int64) + dy[corner]
-    xx = x0.astype(np.int64) + dx[corner]
+    yy = y0 + _DY[corner]
+    xx = x0 + _DX[corner]
     valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
     flat = np.minimum(np.maximum(yy, 0, out=yy), h - 1, out=yy)
     flat *= w  # in place: each [4, ...] temporary raised peak RSS
     flat += np.minimum(np.maximum(xx, 0, out=xx), w - 1, out=xx)
-    wt = np.array((1 - ly, ly))[dy] * np.array((1 - lx, lx))[dx]
-    return flat, valid, wt * valid, ly, lx
+    wt = np.empty(flat.shape)
+    hy, hx = 1 - ly, 1 - lx
+    for k, (a, b) in enumerate(((hy, hx), (hy, lx), (ly, hx), (ly, lx))):
+        np.multiply(a, b, out=wt[k, ...])
+    wt *= valid
+    return flat.astype(np.intp), valid, wt, ly, lx
 
 
 def grid_sample_zero(plane, ys, xs):
@@ -298,8 +318,8 @@ def grid_sample_zero(plane, ys, xs):
 
     Coordinates are shared across channels.  Cells outside
     [0, H-1] x [0, W-1] contribute zero.  Returns [C, *ys.shape].
-    The corners' indices and weights are built at once; each corner is
-    then added into zeros in the pinned order (see the module docstring).
+    Each corner is gathered with take and added into zeros in the pinned
+    order (see the module docstring).
     """
     plane = _as_f64(plane)
     ys = _as_f64(ys)
@@ -308,33 +328,37 @@ def grid_sample_zero(plane, ys, xs):
     plane_flat = plane.reshape(plane.shape[0], -1)
     out = np.zeros(plane.shape[:1] + ys.shape)
     for k in range(4):
-        out += plane_flat[:, flat[k]] * wt[k]
+        out += plane_flat.take(flat[k], axis=1) * wt[k]
     return out
 
 
 def grid_sample_zero_backward(plane, ys, xs, gout):
-    """Backward of grid_sample_zero; returns (g_plane, g_ys, g_xs)."""
+    """Backward of grid_sample_zero; returns (g_plane, g_ys, g_xs).  The
+    plane gradient adds each cell's terms one by one, corner by corner in
+    the pinned order and coordinates in order within a corner; the
+    coordinate gradients add the corners' channel sums in that order, each
+    sum over a C-contiguous product, so channel after channel at any size."""
     plane = _as_f64(plane)
     gout = _as_f64(gout)
     ys = _as_f64(ys)
     xs = _as_f64(xs)
     flat, valid, wt, ly, lx = _corners(plane, ys, xs)
-    plane_flat = plane.reshape(plane.shape[0], -1)
-    g_flat = np.zeros(plane_flat.shape)
-    g_ys = np.zeros_like(ys)
-    g_xs = np.zeros_like(xs)
+    c = plane.shape[0]
+    if gout.shape != (c,) + ys.shape:
+        raise ShapeError(f"gout shape {gout.shape} != {(c,) + ys.shape}")
+    plane_flat = plane.reshape(c, -1)
+    on = np.flatnonzero(valid)  # the valid corners, corner-major
+    g = gout.reshape(c, -1).take(on % ys.size, axis=1)
+    g *= wt.take(on)
+    cells = flat.take(on) + plane_flat.shape[1] * np.arange(c)[:, None]
+    g_flat = _scatter_add(cells.ravel(), g.ravel(), plane.size)
+    g_ys, g_xs = np.zeros_like(ys), np.zeros_like(xs)
     # d weight / d y and d weight / d x of each corner
-    slopes = (
-        (-(1 - lx), -(1 - ly)),
-        (-lx, (1 - ly)),
-        ((1 - lx), -ly),
-        (lx, ly),
-    )
+    slopes = ((-(1 - lx), -(1 - ly)), (-lx, (1 - ly)), ((1 - lx), -ly), (lx, ly))
     for k, (dwdy, dwdx) in enumerate(slopes):
-        on = valid[k]
-        # plane gradient: scatter weight * gout into the valid corner cells
-        np.add.at(g_flat, (slice(None), flat[k][on]), (gout * wt[k])[:, on])
-        gsum = (gout * (plane_flat[:, flat[k]] * on)).sum(axis=0)
+        vals = plane_flat.take(flat[k], axis=1)
+        vals *= valid[k]
+        gsum = np.multiply(gout, vals, out=vals).sum(axis=0)
         g_ys += gsum * dwdy
         g_xs += gsum * dwdx
     return g_flat.reshape(plane.shape), g_ys, g_xs

@@ -1,6 +1,7 @@
 """Tensor-core kernels: values against naive-loop oracles, gradients
 against central differences."""
 
+import re
 import warnings
 
 import numpy as np
@@ -219,6 +220,15 @@ class TestMaxPool:
         with pytest.raises(ops.ShapeError):
             ops.max_pool2d(np.zeros((1, 4, 4)), 4)
 
+    def test_backward_refuses_mismatched_or_unmapped_shapes(self):
+        x = np.zeros((2, 4, 5))
+        with pytest.raises(ops.ShapeError, match=r"\(2, 5, 4\) != \(2, 4, 5\)"):
+            ops.max_pool2d_backward(x, 3, np.zeros((2, 5, 4)))
+        with pytest.raises(ops.ShapeError, match=r"\(1, 4, 5\) != \(2, 4, 5\)"):
+            ops.max_pool2d_backward(x, 3, np.zeros((1, 4, 5)))
+        with pytest.raises(ops.ShapeError, match="rank-3 .* got rank 2"):
+            ops.max_pool2d_backward(np.zeros((4, 5)), 3, np.zeros((4, 5)))
+
 
 class TestPooling:
     def test_directional_pool_hand_values(self):
@@ -291,6 +301,26 @@ class TestBilinearSample:
                                                   np.ones((1, 3)))
         assert (out[:, :3] == 0.0).all() and out[0, 3] == 8.5
         assert all((g == 0.0).all() for g in grads)
+
+    def test_backward_refuses_gout_of_another_shape(self):
+        # a [1, N] or [1, 1] gout must not pass for every channel's
+        plane = np.ones((3, 4, 4))
+        ys = xs = np.array([0.5, 1.5, 2.5])
+        for gout in (np.ones((1, 3)), np.ones((1, 1)), np.ones((3, 3, 1))):
+            with pytest.raises(ops.ShapeError, match=re.escape(
+                    f"gout shape {gout.shape} != (3, 3)")):
+                ops.grid_sample_zero_backward(plane, ys, xs, gout)
+
+    def test_mismatched_coordinate_shapes_named(self):
+        plane = np.ones((2, 4, 4))
+        ys, xs = np.zeros((4, 2, 3)), np.zeros((4, 3))
+        msg = re.escape("ys shape (4, 2, 3) != xs shape (4, 3)")
+        with pytest.raises(ops.ShapeError, match=msg):
+            ops.grid_sample_zero(plane, ys, xs)
+        with pytest.raises(ops.ShapeError, match=msg):
+            ops.grid_sample_zero_backward(plane, ys, xs, np.ones((2, 4, 2, 3)))
+        with pytest.raises(ops.ShapeError, match=re.escape("(3,) != xs shape (1, 3)")):
+            ops.grid_sample_zero(plane, np.zeros(3), np.zeros((1, 3)))
 
     def test_coordinate_stack_equals_separate_calls(self):
         rng = np.random.default_rng(12)
@@ -589,6 +619,14 @@ SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0,
                      -745.0, 1e-300, -1e-300, 1.0, -1.0, 3.0, -3.0])
 
 
+def sprinkled(rng, a, p):
+    """A copy of a with a share p of its cells drawn from +-0, +-inf, +-NaN."""
+    a = a.copy(order="K")
+    cells = rng.random(a.shape) < p
+    a[cells] = rng.choice(SPECIALS[:6], cells.sum())
+    return a
+
+
 class TestBitExact:
     def test_sigmoid_matches_two_mask_formula(self):
         rng = np.random.default_rng(21)
@@ -604,7 +642,9 @@ class TestBitExact:
         want = np.clip((x + 1.0) * 0.5, 0.0, 1.0)
         assert ops.hard_sigmoid(x).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("c,h,w", [(1, 1, 1), (3, 3, 4), (2, 8, 8), (4, 5, 9)])
+    @pytest.mark.parametrize("c,h,w", [(1, 1, 1), (3, 3, 4), (2, 8, 8), (4, 5, 9),
+                                       # 8 or more channels per cell
+                                       (9, 4, 4), (16, 2, 2)])
     def test_grid_sample_matches_per_corner_loop(self, c, h, w):
         rng = np.random.default_rng(100 * h + w)
         plane = rng.standard_normal((w, h, c)).T  # not C-contiguous
@@ -612,9 +652,29 @@ class TestBitExact:
         xs = rng.uniform(-3.0, w + 2.0, (9, h, w))
         ys[:3], xs[2:5] = np.round(ys[:3]), np.round(xs[2:5])  # integer taps
         ys[5, 0, 0], xs[6, 0, 0], ys[7, 0, 0] = 1e300, -1e300, -1e300
-        assert ops.grid_sample_zero(plane, ys, xs).tobytes() == \
-            per_corner_grid_sample(plane, ys, xs).tobytes()
         gout = rng.standard_normal((c,) + ys.shape)
+        # the same plane and gout sprinkled with +-0, +-inf and NaN, and
+        # coordinates that all fall off the grid, so nothing is scattered
+        specials = [sprinkled(rng, a, 0.1) for a in (plane, gout)]
+        off = (rng.uniform(-9.0, -1.0, ys.shape), xs)
+        for pl, g, (y, x) in ((plane, gout, (ys, xs)), (*specials, (ys, xs)),
+                              (*specials, off)):
+            with np.errstate(invalid="ignore"):
+                assert ops.grid_sample_zero(pl, y, x).tobytes() == \
+                    per_corner_grid_sample(pl, y, x).tobytes()
+                for got, want in zip(ops.grid_sample_zero_backward(pl, y, x, g),
+                                     per_corner_grid_sample_backward(pl, y, x, g)):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_grid_sample_backward_channel_sums_in_order_at_any_size(self):
+        # products of 256 KiB and more: numpy may compute gout * samples in
+        # place into a channels-innermost temporary and then sum the
+        # channels pairwise, which rounds the coordinate gradients otherwise
+        rng = np.random.default_rng(31)
+        plane = rng.standard_normal((8, 32, 32))
+        ys = rng.uniform(-1.0, 32.0, (9, 32, 32))
+        xs = rng.uniform(-1.0, 32.0, (9, 32, 32))
+        gout = rng.standard_normal((8,) + ys.shape)
         for got, want in zip(ops.grid_sample_zero_backward(plane, ys, xs, gout),
                              per_corner_grid_sample_backward(plane, ys, xs, gout)):
             assert got.tobytes() == want.tobytes()
@@ -636,10 +696,7 @@ class TestBitExact:
         weight = rng.standard_normal((cout, cin // groups, k, k))
         bias = rng.standard_normal(cout)
         # the same weights on a map sprinkled with +-0, +-inf and NaN
-        specials = x.copy()
-        cells = rng.random(x.shape) < 0.05
-        specials[cells] = rng.choice(SPECIALS[:6], cells.sum())
-        for inp in (x, specials):
+        for inp in (x, sprinkled(rng, x, 0.05)):
             with np.errstate(invalid="ignore"):
                 got = ops.conv2d(inp, weight, bias, stride, padding, groups)
                 want = per_tap_conv2d(inp, weight, bias, stride, padding,
@@ -690,6 +747,12 @@ class TestBitExact:
             for x in (rng.choice(SPECIALS[:6], shape), rng.standard_normal(shape)):
                 got = ops.max_pool2d_backward(x, k, gy)
                 assert got.tobytes() == \
+                    stacked_window_max_pool_backward(x, k, gy).tobytes()
+            # a gy of +-0, +-inf and NaN cells, several routed to one cell
+            gy = sprinkled(rng, gy, 0.3)
+            x = rng.standard_normal(shape)
+            with np.errstate(invalid="ignore"):
+                assert ops.max_pool2d_backward(x, k, gy).tobytes() == \
                     stacked_window_max_pool_backward(x, k, gy).tobytes()
 
     @pytest.mark.parametrize("k", [3, 5, 9, 13])
