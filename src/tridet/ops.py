@@ -8,15 +8,13 @@ keeps state and nothing builds a graph.  The central-difference oracle
 ``finite_diff_grad`` is the reference all backward implementations are
 tested against.
 
-Forward values are pinned bit for bit (the `run` digests and
-tests/model_reference.npz), and so are these kernels' gradients
-(tests/test_ops.py), so the orders of adds are fixed, not the number of
-calls that compute the terms: `conv2d` adds its tap products in
-row-major (u, v) order, `grid_sample_zero` adds its corners in the order
-(0, 0), (0, 1), (1, 0), (1, 1), and the backward scatters of the sampler
-and the max pool add each cell's terms one by one, a corner's after the
-previous corner's.  Any other order, or one contraction over all taps,
-rounds differently.
+Forward values (the `run` digests, tests/model_reference.npz) and these
+kernels' gradients (tests/test_ops.py) are pinned bit for bit, so the
+orders of adds are fixed, not the number of calls that compute the
+terms: `conv2d` adds its tap products in row-major (u, v) order, the
+sampler its corners in the order (0, 0), (0, 1), (1, 0), (1, 1), and the
+two backward scatters each cell's terms one by one in a fixed order.
+Any other order, or one contraction over all taps, rounds differently.
 """
 
 from __future__ import annotations
@@ -235,10 +233,9 @@ def _scatter_add(cells, values, n):
 
 
 def max_pool2d_backward(x, k, gy):
-    """Routes each gy cell to the first maximum of its window of the
-    -inf-padded map, the offsets taken in row-major order; that order is
-    pinned, not how the windows are gathered.  One bincount over the flat
-    source cell adds the routed cells in row-major (c, y, x) order."""
+    """Routes each gy cell, in row-major order, to the first maximum of its
+    window of the -inf-padded map, the offsets taken in row-major order;
+    those orders are pinned, not how the windows are gathered or scattered."""
     x = _as_f64(x)
     gy = _as_f64(gy)
     if k % 2 == 0:
@@ -284,8 +281,7 @@ _DY, _DX = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
 def _corners(plane, ys, xs):
     """Flat cell indices into plane.reshape(C, -1), validity masks and
     validity-masked bilinear weights of the four corners, each [4, *ys.shape],
-    and the fractional parts (ly, lx) of the coordinates.  The corner cells
-    are exact small integers in float64 until one cast to np.intp."""
+    and the fractional parts (ly, lx) of the coordinates."""
     if ys.shape != xs.shape:
         raise ShapeError(f"grid_sample_zero ys shape {ys.shape} != xs shape {xs.shape}")
     if not (np.isfinite(ys).all() and np.isfinite(xs).all()):
@@ -333,11 +329,8 @@ def grid_sample_zero(plane, ys, xs):
 
 
 def grid_sample_zero_backward(plane, ys, xs, gout):
-    """Backward of grid_sample_zero; returns (g_plane, g_ys, g_xs).  The
-    plane gradient adds each cell's terms one by one, corner by corner in
-    the pinned order and coordinates in order within a corner; the
-    coordinate gradients add the corners' channel sums in that order, each
-    sum over a C-contiguous product, so channel after channel at any size."""
+    """Backward of grid_sample_zero; returns (g_plane, g_ys, g_xs), added in
+    the pinned corner order; channel sums run over C-contiguous products."""
     plane = _as_f64(plane)
     gout = _as_f64(gout)
     ys = _as_f64(ys)
@@ -352,9 +345,15 @@ def grid_sample_zero_backward(plane, ys, xs, gout):
     g *= wt.take(on)
     cells = flat.take(on) + plane_flat.shape[1] * np.arange(c)[:, None]
     g_flat = _scatter_add(cells.ravel(), g.ravel(), plane.size)
-    g_ys, g_xs = np.zeros_like(ys), np.zeros_like(xs)
+    g_ys = np.zeros_like(ys)
+    g_xs = np.zeros_like(xs)
     # d weight / d y and d weight / d x of each corner
-    slopes = ((-(1 - lx), -(1 - ly)), (-lx, (1 - ly)), ((1 - lx), -ly), (lx, ly))
+    slopes = (
+        (-(1 - lx), -(1 - ly)),
+        (-lx, (1 - ly)),
+        ((1 - lx), -ly),
+        (lx, ly),
+    )
     for k, (dwdy, dwdx) in enumerate(slopes):
         vals = plane_flat.take(flat[k], axis=1)
         vals *= valid[k]

@@ -653,18 +653,22 @@ class TestBitExact:
         ys[:3], xs[2:5] = np.round(ys[:3]), np.round(xs[2:5])  # integer taps
         ys[5, 0, 0], xs[6, 0, 0], ys[7, 0, 0] = 1e300, -1e300, -1e300
         gout = rng.standard_normal((c,) + ys.shape)
+
+        def check(pl, y, x, g):
+            assert ops.grid_sample_zero(pl, y, x).tobytes() == \
+                per_corner_grid_sample(pl, y, x).tobytes()
+            for got, want in zip(ops.grid_sample_zero_backward(pl, y, x, g),
+                                 per_corner_grid_sample_backward(pl, y, x, g)):
+                assert got.tobytes() == want.tobytes()
+
+        check(plane, ys, xs, gout)
         # the same plane and gout sprinkled with +-0, +-inf and NaN, and
         # coordinates that all fall off the grid, so nothing is scattered
         specials = [sprinkled(rng, a, 0.1) for a in (plane, gout)]
-        off = (rng.uniform(-9.0, -1.0, ys.shape), xs)
-        for pl, g, (y, x) in ((plane, gout, (ys, xs)), (*specials, (ys, xs)),
-                              (*specials, off)):
-            with np.errstate(invalid="ignore"):
-                assert ops.grid_sample_zero(pl, y, x).tobytes() == \
-                    per_corner_grid_sample(pl, y, x).tobytes()
-                for got, want in zip(ops.grid_sample_zero_backward(pl, y, x, g),
-                                     per_corner_grid_sample_backward(pl, y, x, g)):
-                    assert got.tobytes() == want.tobytes()
+        off = rng.uniform(-9.0, -1.0, ys.shape)
+        with np.errstate(invalid="ignore"):
+            check(specials[0], ys, xs, specials[1])
+            check(specials[0], off, xs, specials[1])
 
     def test_grid_sample_backward_channel_sums_in_order_at_any_size(self):
         # products of 256 KiB and more: numpy may compute gout * samples in
