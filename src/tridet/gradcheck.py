@@ -24,12 +24,11 @@ from .attention import (DynamicBlock, ScaleAttention, SpatialAttention,
                         TaskAttention, TDAHead)
 from .config import ModelConfig
 from .coordatt import CoordAttention
-from .postproc import (Box, detection_loss, diou, diou_grad, focal_loss,
-                       focal_loss_grad_p)
+from .postproc import (Box, box_planes, detection_loss, diou_planes,
+                       focal_loss, focal_loss_grad_p)
 
 TOL_ELEMENTWISE = 1e-5
 TOL_COMPOSED = 1e-4
-EPS = 1e-5
 
 
 @dataclass
@@ -43,33 +42,8 @@ class CheckResult:
         return self.max_err < self.tol
 
 
+# larger parameters are probed on a fixed random subset of this many entries
 MAX_FD_ENTRIES = 48
-
-
-def _fd_param(scalar_fn, param, eps=EPS):
-    """Central differences w.r.t. a Param's value array.
-
-    Large parameters are checked on a deterministic random subset of
-    entries (the unchecked entries copy the analytic grad so the
-    comparison is neutral there); small ones exhaustively.
-    """
-    grad = param.grad.copy()
-    flat = param.value.reshape(-1)
-    gflat = grad.reshape(-1)
-    if flat.size > MAX_FD_ENTRIES:
-        idx = np.random.default_rng(flat.size).choice(
-            flat.size, MAX_FD_ENTRIES, replace=False)
-    else:
-        idx = range(flat.size)
-    for i in idx:
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = scalar_fn()
-        flat[i] = orig - eps
-        fm = scalar_fn()
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * eps)
-    return grad
 
 
 def _worst(errs):
@@ -102,8 +76,15 @@ def _check(rng, forward, backward, inputs, params=()):
         fd = ops.finite_diff_grad(
             lambda v, i=i: loss(*inputs[:i], v, *inputs[i + 1:]), x.copy())
         errs.append(ops.relative_error(g, fd))
-    errs += [ops.relative_error(p.grad, _fd_param(lambda: loss(*inputs), p))
-             for p in params]
+    for p in params:
+        n = p.value.size
+        idx = (np.random.default_rng(n).choice(n, MAX_FD_ENTRIES,
+                                               replace=False)
+               if n > MAX_FD_ENTRIES else None)
+        # unprobed entries copy the analytic gradient: neutral there
+        fd = ops.finite_diff_grad(lambda _: loss(*inputs), p.value,
+                                  entries=idx, out=p.grad.copy())
+        errs.append(ops.relative_error(p.grad, fd))
     return _worst(errs)
 
 
@@ -307,9 +288,11 @@ def check_diou_grad(rng):
     errs = []
     for _ in range(5):
         a = np.concatenate([rng.uniform(2, 8, 2), rng.uniform(2, 6, 2)])
-        b = Box(*rng.uniform(2, 8, 2), *rng.uniform(2, 6, 2))
-        errs.append(_check(rng, lambda v: diou(Box(*v), b),
-                           lambda r: diou_grad(Box(*a), b) * r, (a,)))
+        b = box_planes(np.concatenate([rng.uniform(2, 8, 2),
+                                       rng.uniform(2, 6, 2)]))
+        errs.append(_check(
+            rng, lambda v: diou_planes(box_planes(v), b),
+            lambda r: diou_planes(box_planes(a), b, True)[1] * r, (a,)))
     return _worst(errs)
 
 

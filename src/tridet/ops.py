@@ -484,17 +484,19 @@ def concat_axis_backward(xs, axis, gy):
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def finite_diff_grad(f, x, eps=1e-5):
+def finite_diff_grad(f, x, eps=1e-5, entries=None, out=None):
     """Central-difference gradient of the scalar function f at x.
 
+    Probes the flat `entries` of x in their order, all by default, and
+    writes them into `out` (zeros by default), whose other entries stay.
     The reference every analytic backward in this library is checked
     against; keep it dumb and independent.
     """
     x = _as_f64(x)
-    grad = np.zeros_like(x)
+    grad = np.zeros_like(x) if out is None else out
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
-    for i in range(flat.size):
+    for i in range(flat.size) if entries is None else entries:
         orig = flat[i]
         flat[i] = orig + eps
         fp = f(x)
@@ -502,8 +504,9 @@ def finite_diff_grad(f, x, eps=1e-5):
         fm = f(x)
         flat[i] = orig
         if not (np.isfinite(fp) and np.isfinite(fm)):
+            cell = tuple(map(int, np.unravel_index(i, x.shape)))
             raise FiniteDiffError(
-                f"non-finite evaluation while probing cell {np.unravel_index(i, x.shape)}")
+                f"non-finite evaluation while probing cell {cell}")
         gflat[i] = (fp - fm) / (2.0 * eps)
     return grad
 

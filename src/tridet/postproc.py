@@ -1,6 +1,7 @@
-"""Prediction decoding, box geometry (IoU / distance-IoU with analytic
-gradients), distance-aware NMS, the balanced focal loss, label smoothing,
-and the composite detection loss with gradients w.r.t. raw predictions."""
+"""Prediction decoding, one distance-IoU kernel over box planes (with its
+gradient for the loss), distance-aware NMS, the balanced focal loss, label
+smoothing, and the composite detection loss with gradients w.r.t. raw
+predictions."""
 
 from __future__ import annotations
 
@@ -47,82 +48,61 @@ class ClampStats:
 clamp_stats = ClampStats()
 
 
-def iou(a: Box, b: Box) -> float:
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+def box_planes(b):
+    """Rows x0, y0, x1, y1 (corners), cx, cy, w, h and area of the boxes
+    b = [cx, cy, w, h], one box per column (or one box as a vector)."""
+    b = np.asarray(b, dtype=np.float64)
+    half = b[2:] / 2
+    return np.concatenate([b[:2] - half, b[:2] + half, b, b[2:3] * b[3:]])
+
+
+def diou_planes(p, q, grad=False):
+    """Distance-IoU of each column of the box planes p with the same column
+    of q: IoU minus the squared center distance over the squared diagonal
+    of the smallest enclosing box.  With `grad`, also its derivative in
+    p's cx, cy, w, h as rows [4, N], q held fixed; subgradients at
+    geometric ties pick p's side.
+
+    IoU is 0 where the boxes do not overlap or `union > 0` fails, the
+    distance term is 0 where `c2 > 0` fails.  So a NaN field gives DIoU
+    0, and an infinite one may give NaN (inf / inf).  The value squares
+    with `x * x` in a fixed order of operations, on which the NMS output
+    and so the `run` digests rest."""
+    iwh = np.minimum(q[2:4], p[2:4]) - np.maximum(q[:2], p[:2])
+    inter = np.multiply(*np.maximum(iwh, 0.0))
+    union = (p[8] + q[8]) - inter
+    v = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+    cwh = np.maximum(q[2:4], p[2:4]) - np.minimum(q[:2], p[:2])
+    c2, dxy = np.add(*(cwh * cwh)), p[4:6] - q[4:6]
+    rho2 = np.add(*(dxy * dxy))
+    v -= np.divide(rho2, c2, out=np.zeros_like(c2), where=c2 > 0.0)
+    if not grad:
+        return v
+    # d inter / d p's low and high edges, live while the boxes overlap
+    ok = (np.minimum(*iwh) > 0.0) & (union > 0.0)
+    lo = np.where(ok & (p[:2] > q[:2]), -iwh[::-1], 0.0)
+    hi = np.where(ok & (p[2:4] < q[2:4]), iwh[::-1], 0.0)
+    d_inter = np.concatenate([lo + hi, 0.5 * (hi - lo)])
+    # d union = d area - d inter, with d area = (0, 0, h, w)
+    d_union = -d_inter
+    d_union[2:] += p[7:5:-1]
+    d_iou = np.divide(d_inter * union - inter * d_union, union * union,
+                      out=np.zeros_like(d_inter), where=ok)
+    # d c2: p's edges that bound the enclosing box move its width or height
+    elo, ehi = 1.0 * (p[:2] < q[:2]), 1.0 * (p[2:4] > q[2:4])
+    d_c2 = 2.0 * np.concatenate([cwh, cwh]) * np.concatenate(
+        [ehi - elo, 0.5 * (ehi + elo)])
+    # d rho2 = (2 dx, 2 dy, 0, 0)
+    num = -rho2 * d_c2
+    num[:2] += 2.0 * dxy * c2
+    d_pen = np.divide(num, c2 * c2, out=np.zeros_like(num), where=c2 > 0.0)
+    return v, d_iou - d_pen
 
 
 def diou(a: Box, b: Box) -> float:
-    """IoU minus the squared center distance over the squared diagonal of
-    the smallest enclosing box; equals IoU when centers coincide."""
-    val = iou(a, b)
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    cw = max(ax2, bx2) - min(ax1, bx1)
-    ch = max(ay2, by2) - min(ay1, by1)
-    c2 = cw * cw + ch * ch
-    if c2 <= 0:
-        return val
-    rho2 = (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2
-    return val - rho2 / c2
-
-
-def diou_grad(pred: Box, gt: Box):
-    """d diou(pred, gt) / d (cx, cy, w, h) of pred, gt held fixed.
-
-    Subgradients at geometric ties pick the pred side; call sites keep
-    gradcheck inputs off the tie set.
-    """
-    px1, py1, px2, py2 = pred.corners()
-    gx1, gy1, gx2, gy2 = gt.corners()
-    iw = min(px2, gx2) - max(px1, gx1)
-    ih = min(py2, gy2) - max(py1, gy1)
-    overlap = iw > 0 and ih > 0
-    inter = iw * ih if overlap else 0.0
-    union = pred.area + gt.area - inter
-    d_iou = np.zeros(4)
-    if union > 0:
-        # dI/d corner, active only while overlapping
-        dI_dx1 = -ih if overlap and px1 > gx1 else 0.0
-        dI_dx2 = ih if overlap and px2 < gx2 else 0.0
-        dI_dy1 = -iw if overlap and py1 > gy1 else 0.0
-        dI_dy2 = iw if overlap and py2 < gy2 else 0.0
-        dI = np.array([
-            dI_dx1 + dI_dx2,
-            dI_dy1 + dI_dy2,
-            0.5 * (dI_dx2 - dI_dx1),
-            0.5 * (dI_dy2 - dI_dy1),
-        ])
-        dA = np.array([0.0, 0.0, pred.h, pred.w])
-        dU = dA - dI
-        d_iou = (dI * union - inter * dU) / (union * union)
-    cw = max(px2, gx2) - min(px1, gx1)
-    ch = max(py2, gy2) - min(py1, gy1)
-    c2 = cw * cw + ch * ch
-    if c2 <= 0:
-        return d_iou
-    rho2 = (pred.cx - gt.cx) ** 2 + (pred.cy - gt.cy) ** 2
-    drho = np.array([2 * (pred.cx - gt.cx), 2 * (pred.cy - gt.cy), 0.0, 0.0])
-    ex1_from_pred = 1.0 if px1 < gx1 else 0.0
-    ex2_from_pred = 1.0 if px2 > gx2 else 0.0
-    ey1_from_pred = 1.0 if py1 < gy1 else 0.0
-    ey2_from_pred = 1.0 if py2 > gy2 else 0.0
-    dcw = np.array([ex2_from_pred - ex1_from_pred, 0.0,
-                    0.5 * (ex2_from_pred + ex1_from_pred), 0.0])
-    dch = np.array([0.0, ey2_from_pred - ey1_from_pred, 0.0,
-                    0.5 * (ey2_from_pred + ey1_from_pred)])
-    dc2 = 2 * cw * dcw + 2 * ch * dch
-    dpen = (drho * c2 - rho2 * dc2) / (c2 * c2)
-    return d_iou - dpen
+    """`diou_planes` of two boxes, as a float."""
+    p, q = (box_planes([x.cx, x.cy, x.w, x.h]) for x in (a, b))
+    return float(diou_planes(p, q))
 
 
 def diou_nms(rows, threshold=0.45):
@@ -134,25 +114,26 @@ def diou_nms(rows, threshold=0.45):
     Each class is walked in rank order, NMS_TILE rows at a time. Broad
     phase: four comparisons meet the tile's live rows with every later
     row of the class in one boolean tile; its true cells are the pairs
-    (i, j), i before j. Narrow phase: DIoU on those pairs only, in
-    `diou`'s operation order. `diou` squares with `**`, which libm may
-    round one ulp off `x * x`, and its min and max treat NaN otherwise,
-    so pairs within 1e-9 of the threshold or with a NaN or infinite box
-    field ask `diou`. Greedy rule: the pairs come sorted by i, so a pair
-    above the threshold drops j while i is alive.
+    (i, j), i before j. Narrow phase: `diou_planes` on those pairs only,
+    the one DIoU that `diou` and the loss use. Greedy rule: the pairs
+    come sorted by i, so a pair whose DIoU is not <= the threshold drops
+    j while i is alive.
+
+    Non-finite boxes follow the kernel: a NaN field gives DIoU 0 against
+    any box, so such a box suppresses nothing and falls to nothing at a
+    threshold >= 0; an infinite field may give a NaN DIoU (an infinite
+    center gives inf / inf), which is not <= any threshold and drops the
+    later row.
 
     Exactness: a pair the broad phase skips lacks `iw > 0` and `ih > 0`,
-    so its IoU is 0 and its DIoU, vector or scalar, is 0 minus a ratio
-    of squares: at most 0, never above a threshold >= 0. For a negative
-    or NaN threshold, or coordinates large enough for a square to
+    so its IoU is 0 and its DIoU is 0 minus a ratio of squares: at most
+    0, never above a threshold >= 0. For a negative or NaN threshold, or
+    for a non-finite corner or coordinates large enough for a square to
     overflow (inf / inf is NaN), every later row is a pair."""
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
     # lexsort puts NaN keys last; its last key is the primary one
     ranked = rows[np.lexsort((np.arange(len(rows)), -rows[:, 5]))]
-    b, cls = ranked[:, :4].T, ranked[:, 4]
-    # rows x0, y0, x1, y1 (corners), cx, cy, area
-    planes = np.vstack([b[:2] - b[2:] / 2, b[:2] + b[2:] / 2, b[:2],
-                        b[2] * b[3]])
+    planes, cls = box_planes(ranked[:, :4].T), ranked[:, 4]
     # a difference of two corners or centers is at most 2 * big
     big = float(np.abs(planes[:4]).max(initial=0.0))
     every = not (threshold >= 0 and math.isfinite(8 * big * big))
@@ -162,7 +143,6 @@ def diou_nms(rows, threshold=0.45):
         m = len(seg)
         cp = planes.take(seg, axis=1)
         x0, y0, x1, y1 = cp[:4]
-        nonfinite = ~np.isfinite(b[:, seg]).all(axis=0)
         live = [True] * m
         for t in range(0, m - 1, NMS_TILE):
             # live rows of t .. t + k - 1 against columns t + 1 .. m - 1
@@ -180,24 +160,10 @@ def diou_nms(rows, threshold=0.45):
             hit[:, :k] &= a[:, None] <= np.arange(k)
             i, j = np.divmod(np.flatnonzero(hit), w)
             i, j = r[i], j + t + 1
-            pi, pj = cp.take(i, axis=1), cp.take(j, axis=1)
-            iwh = np.minimum(pj[2:4], pi[2:4]) - np.maximum(pj[:2], pi[:2])
-            # IoU: a clamped iw or ih gives inter = 0, so IoU 0, as in `iou`
-            inter = np.multiply(*np.maximum(iwh, 0.0))
-            union = (pi[6] + pj[6]) - inter
-            v = np.divide(inter, union, out=np.zeros_like(inter),
-                          where=union > 0.0)
-            # minus rho2 / c2 where c2 > 0
-            cwh = np.maximum(pj[2:4], pi[2:4]) - np.minimum(pj[:2], pi[:2])
-            c2, dxy = np.add(*(cwh * cwh)), pi[4:6] - pj[4:6]
-            v -= np.divide(np.add(*(dxy * dxy)), c2, out=np.zeros_like(c2),
-                           where=c2 > 0.0)
-            near = (np.abs(v - threshold) < 1e-9) | nonfinite[i] | nonfinite[j]
-            edge = near | ~(v <= threshold)
-            for p, q, u in zip(*(x[edge].tolist() for x in (i, j, near))):
-                if live[p] and live[q] and not (u and diou(
-                        Box(*b[:, seg[p]].tolist()),
-                        Box(*b[:, seg[q]].tolist())) <= threshold):
+            drop = ~(diou_planes(cp.take(i, axis=1), cp.take(j, axis=1))
+                     <= threshold)
+            for p, q in zip(i[drop].tolist(), j[drop].tolist()):
+                if live[p]:
                     live[q] = False
         alive[seg] = live
     return ranked[alive]
@@ -357,56 +323,51 @@ def detection_loss(raws, targets, cfg: ModelConfig):
     grid_hw = [v.shape[2:] for v in views]
     assigned = assign_targets(targets, cfg.anchors, STRIDES, grid_hw)
     grads = [np.zeros_like(v) for v in views]
+    n_assigned = len(assigned)
+    n_norm = max(1, n_assigned)
+
+    # per slot: column, row, stride, anchor extents and the target box
+    slot = np.array([(j, i, STRIDES[l], *cfg.anchors[l][a],
+                      b.cx, b.cy, b.w, b.h)
+                     for (l, a, i, j), (b, _) in assigned.items()],
+                    dtype=np.float64).reshape(-1, 9)
+    stride = slot[:, 2:3]
+    # the box DIoU and class focal terms of every assigned slot at once,
+    # with their gradients w.r.t. the slot's raw predictions
+    rows = np.array([views[l][a, :, i, j] for l, a, i, j in assigned])
+    rows = rows.reshape(n_assigned, 5 + num_classes)
+    sxy = ops.sigmoid(rows[:, :2])
+    wh = slot[:, 3:5] * np.exp(rows[:, 2:4])
+    pred = np.concatenate([(sxy + slot[:, :2]) * stride, wh], axis=1)
+    d, dd = diou_planes(box_planes(pred.T), box_planes(slot[:, 5:].T), True)
+    pc = ops.sigmoid(rows[:, 5:])
+    onehot = np.eye(num_classes)[[cid for _, cid in assigned.values()]]
+    fl, gpc, clamps = _focal(pc, label_smooth(onehot, cfg.smooth_eps),
+                             cfg.alpha, cfg.gamma)
+    clamp_stats.count += clamps
+    g = np.zeros_like(rows)
+    # d (cx, cy, w, h) / d (tx, ty, tw, th)
+    g[:, :4] = (-cfg.w_box / n_norm) * dd.T * np.concatenate(
+        [sxy * (1.0 - sxy) * stride, wh], axis=1)
+    g[:, 5:] = (cfg.w_cls / n_norm) * (gpc / num_classes) * pc * (1.0 - pc)
+    box_loss = float((1.0 - d).sum()) / n_norm
+    cls_loss = float(fl.sum()) / num_classes / n_norm
+    # each slot's gradient row, whose objectness entry (0.0) lands before
+    # the objectness gradient below, and the slot's objectness target
+    ys = [np.zeros_like(v[:, 4]) for v in views]
+    for k, (l, a, i, j) in enumerate(assigned):
+        grads[l][a, :, i, j] += g[k]
+        ys[l][a, i, j] = 1.0
 
     # objectness: focal summed over every slot, normalized by the number
     # of positive assignments (the customary focal-loss reduction)
-    n_assigned = len(assigned)
-    n_norm = max(1, n_assigned)
     obj_loss = 0.0
-    for lvl, v in enumerate(views):
-        t = v[:, 4]
-        y = np.zeros_like(t)
-        for (l, a, i, j) in assigned:
-            if l == lvl:
-                y[a, i, j] = 1.0
-        p = ops.sigmoid(t)
+    for lvl, (v, y) in enumerate(zip(views, ys)):
+        p = ops.sigmoid(v[:, 4])
         fl, gp, clamps = _focal(p, y, cfg.alpha, cfg.gamma)
         clamp_stats.count += clamps
         obj_loss += float(fl.sum()) / n_norm
         grads[lvl][:, 4] += cfg.w_obj * (gp / n_norm) * p * (1.0 - p)
-
-    # the sigmoids and class focal terms of every assigned slot at once
-    rows = np.array([views[l][a, :, i, j] for l, a, i, j in assigned])
-    rows = rows.reshape(n_assigned, 5 + num_classes)
-    sxy = ops.sigmoid(rows[:, :2])
-    pc = ops.sigmoid(rows[:, 5:])
-    onehot = np.eye(num_classes)[[cid for _, cid in assigned.values()]]
-    ysm = label_smooth(onehot, cfg.smooth_eps)
-    fl, gpc, clamps = _focal(pc, ysm, cfg.alpha, cfg.gamma)
-    clamp_stats.count += clamps
-    g_cls = (cfg.w_cls / n_norm) * (gpc / num_classes) * pc * (1.0 - pc)
-
-    box_loss = 0.0
-    cls_loss = 0.0
-    scale = cfg.w_box / n_norm
-    for k, ((lvl, a, i, j), (gt, _)) in enumerate(assigned.items()):
-        stride = STRIDES[lvl]
-        aw, ah = cfg.anchors[lvl][a]
-        sx, sy = sxy[k].tolist()
-        tw, th = rows[k, 2:4].tolist()
-        pred = Box((sx + j) * stride, (sy + i) * stride,
-                   aw * math.exp(tw), ah * math.exp(th))
-        box_loss += 1.0 - diou(pred, gt)
-        dd = diou_grad(pred, gt)   # d diou / d (cx, cy, w, h)
-        grads[lvl][a, 0, i, j] += -scale * dd[0] * sx * (1 - sx) * stride
-        grads[lvl][a, 1, i, j] += -scale * dd[1] * sy * (1 - sy) * stride
-        grads[lvl][a, 2, i, j] += -scale * dd[2] * pred.w
-        grads[lvl][a, 3, i, j] += -scale * dd[3] * pred.h
-        cls_loss += float(fl[k].sum()) / num_classes
-        grads[lvl][a, 5:, i, j] += g_cls[k]
-    if n_assigned:
-        box_loss /= n_assigned
-        cls_loss /= n_assigned
 
     components = {"box": box_loss, "obj": obj_loss, "cls": cls_loss}
     total = cfg.w_box * box_loss + cfg.w_obj * obj_loss + cfg.w_cls * cls_loss

@@ -2,12 +2,15 @@
 wherever it sits, not only in a single-input function, and a NaN error
 must fail wherever errors are reduced."""
 
+import math
+
 import numpy as np
 import pytest
 
 from tridet import gradcheck, ops
 from tridet.attention import ScaleAttention
-from tridet.postproc import diou_grad
+from tridet.layers import Param
+from tridet.postproc import diou_planes
 
 
 class TestCheckFlagsWrongGradients:
@@ -77,13 +80,31 @@ class TestNanErrorsFail:
     def test_nan_in_one_diou_draw(self, monkeypatch):
         calls = []
 
-        def second_draw_nan(pred, gt):
+        def second_draw_nan(p, q, grad=False):
+            if not grad:
+                return diou_planes(p, q)
             calls.append(None)
-            return diou_grad(pred, gt) * (np.nan if len(calls) == 2 else 1.0)
+            v, g = diou_planes(p, q, grad)
+            return v, g * (np.nan if len(calls) == 2 else 1.0)
 
-        monkeypatch.setattr(gradcheck, "diou_grad", second_draw_nan)
+        monkeypatch.setattr(gradcheck, "diou_planes", second_draw_nan)
         err = gradcheck.check_diou_grad(np.random.default_rng(0))
+        assert len(calls) == 5
         assert not err < gradcheck.TOL_ELEMENTWISE
+
+    def test_non_finite_parameter_probe_raises(self):
+        # the loss turns infinite once the parameter's second entry moves:
+        # its probe must stop there, not report the error of inf - inf
+        p = Param(np.array([1.0, 2.0]))
+        x = np.array([0.5])
+
+        def forward(v):
+            return v * (1.0 if p.value[1] == 2.0 else math.inf)
+
+        rng = np.random.default_rng(0)
+        assert gradcheck._check(rng, forward, lambda r: r, (x,)) < 1e-9
+        with pytest.raises(ops.FiniteDiffError, match=r"cell \(1,\)"):
+            gradcheck._check(rng, forward, lambda r: r, (x,), (p,))
 
 
 class TestRunSuiteSeeds:

@@ -475,8 +475,17 @@ class TestFiniteDiff:
         def f(v):
             with np.errstate(divide="ignore", invalid="ignore"):
                 return float(np.log(v).sum())
-        with pytest.raises(ops.FiniteDiffError):
+        with pytest.raises(ops.FiniteDiffError, match=r"cell \(0,\)$"):
             ops.finite_diff_grad(f, np.array([1.0, 0.0, 1.0]) * 1e-6)
+
+    def test_listed_entries_probed_into_out(self):
+        x = np.random.default_rng(20).standard_normal((2, 3))
+        square = lambda v: float((v ** 2).sum())
+        want = np.full(6, 7.0)
+        want[[4, 1]] = ops.finite_diff_grad(square, x).ravel()[[4, 1]]
+        out = np.full((2, 3), 7.0)
+        g = ops.finite_diff_grad(square, x, entries=[4, 1], out=out)
+        assert g is out and g.ravel().tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from tridet import ops
 from tridet.config import ModelConfig
 from tridet.model import build_model
 from tridet.postproc import (NMS_TILE, P_CLAMP, Box, assign_targets,
-                             clamp_stats, decode_predictions, detection_loss,
-                             diou, diou_grad, diou_nms, focal_loss,
-                             focal_loss_grad_p, format_detection, iou,
+                             box_planes, clamp_stats, decode_predictions,
+                             detection_loss, diou, diou_nms, diou_planes,
+                             focal_loss, focal_loss_grad_p, format_detection,
                              label_smooth)
 from tridet.train import train_toy
 
@@ -36,9 +36,42 @@ def row_box(row):
     return Box(*row[:4].tolist())
 
 
+def scalar_iou(a, b):
+    """IoU of two boxes in plain Python floats: an independent reference."""
+    ax1, ay1, ax2, ay2 = a.corners()
+    bx1, by1, bx2, by2 = b.corners()
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = a.area + b.area - inter
+    if union <= 0:
+        return 0.0
+    return inter / union
+
+
+def scalar_diou(a, b):
+    """`scalar_iou` minus rho2 / c2 where c2 > 0, squaring with `**`."""
+    ax1, ay1, ax2, ay2 = a.corners()
+    bx1, by1, bx2, by2 = b.corners()
+    cw = max(ax2, bx2) - min(ax1, bx1)
+    ch = max(ay2, by2) - min(ay1, by1)
+    c2 = cw * cw + ch * ch
+    if c2 <= 0:
+        return scalar_iou(a, b)
+    return scalar_iou(a, b) - ((a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2) / c2
+
+
+def kernel_grad(a, b):
+    """d diou(a, b) / d (cx, cy, w, h) of a, from `diou_planes`."""
+    p, q = (box_planes([x.cx, x.cy, x.w, x.h]) for x in (a, b))
+    return diou_planes(p, q, grad=True)[1]
+
+
 def brute_force_nms(rows, threshold):
-    """Indices of the rows a greedy scalar-`diou` pass keeps, in rank
-    order: descending score, NaN scores last, then input index."""
+    """Indices of the rows a greedy pass over `diou`, pair by pair, keeps,
+    in rank order: descending score, NaN scores last, then input index."""
     def rank(i):
         score = rows[i, 5]
         return (math.isnan(score), 0.0 if math.isnan(score) else -score, i)
@@ -113,23 +146,30 @@ def detection_lists(draw):
 
 
 class TestIoU:
+    """The IoU part of the kernel, through `diou`."""
+
     def test_identical(self):
         b = Box(2, 3, 4, 5)
-        assert iou(b, b) == 1.0
+        assert diou(b, b) == 1.0 == scalar_iou(b, b)
 
     def test_disjoint(self):
-        assert iou(Box(0, 0, 1, 1), Box(10, 10, 1, 1)) == 0.0
+        # IoU exactly 0, so DIoU is minus rho2 / c2 = 200 / 242
+        a, b = Box(0, 0, 1, 1), Box(10, 10, 1, 1)
+        assert diou(a, b) == -(200.0 / 242.0)
+        assert scalar_iou(a, b) == 0.0
 
     def test_hand_geometry(self):
         a = Box.from_corners(0, 0, 2, 2)
         b = Box.from_corners(1, 1, 3, 3)
-        assert_allclose(iou(a, b), 1.0 / 7.0)
+        assert_allclose(diou(a, b), 1.0 / 7.0 - 2.0 / 18.0)
+        assert_allclose(scalar_iou(a, b), 1.0 / 7.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             a, b = random_box(rng), random_box(rng)
-            assert iou(a, b) == iou(b, a)
+            assert diou(a, b) == diou(b, a)
+            assert scalar_iou(a, b) == scalar_iou(b, a)
 
 
 class TestDIoU:
@@ -140,7 +180,7 @@ class TestDIoU:
     def test_concentric_equals_iou(self):
         a = Box(5, 5, 2, 2)
         b = Box(5, 5, 6, 6)
-        assert_allclose(diou(a, b), iou(a, b), atol=1e-15)
+        assert_allclose(diou(a, b), scalar_iou(a, b), atol=1e-15)
 
     def test_diagonal_disjoint_unit_boxes(self):
         a = Box.from_corners(0, 0, 1, 1)
@@ -151,13 +191,27 @@ class TestDIoU:
         rng = np.random.default_rng(1)
         for _ in range(50):
             a, b = random_box(rng), random_box(rng)
-            assert diou(a, b) <= iou(a, b) + 1e-12
+            assert diou(a, b) <= scalar_iou(a, b) + 1e-12
+
+    def test_matches_scalar_reference(self):
+        # random boxes, and small integer ones that touch, coincide, nest
+        # and have zero extents; `**` may round one ulp off `x * x`
+        rng = np.random.default_rng(3)
+        boxes = [random_box(rng) for _ in range(1000)]
+        boxes += [Box(*map(float, rng.integers(0, 5, 4))) for _ in range(1000)]
+        a, b = boxes[::2] + boxes[1::2], boxes[1::2] + boxes[::2]
+        p, q = (box_planes(np.array([[x.cx, x.cy, x.w, x.h] for x in xs]).T)
+                for xs in (a, b))
+        got = diou_planes(p, q)
+        want = [scalar_diou(x, y) for x, y in zip(a, b)]
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert got.tolist() == [diou(x, y) for x, y in zip(a, b)]
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             a, b = random_box(rng), random_box(rng)
-            g = diou_grad(a, b)
+            g = kernel_grad(a, b)
             v = np.array([a.cx, a.cy, a.w, a.h])
             fd = ops.finite_diff_grad(
                 lambda p: diou(Box(p[0], p[1], p[2], p[3]), b), v)
@@ -203,14 +257,18 @@ class TestDIoUNMS:
 
     @pytest.mark.parametrize("cx", [12.55403779917204, 11.59867016807235])
     def test_threshold_at_diou_rounding_edge(self, cx):
-        # (a.cx - b.cx) ** 2 here differs by one ulp from the product, so
-        # the product-based DIoU lands on the other side of the threshold
+        # (a.cx - b.cx) ** 2 here differs by one ulp from the product that
+        # the kernel squares with, so the `**` reference lands elsewhere; a
+        # threshold at the kernel's DIoU keeps b, one ulp below drops it
         a, b = Box(10.0, 10.0, 4.0, 4.0), Box(cx, 10.0, 4.0, 4.0)
         dx, cw = a.cx - b.cx, (b.cx + 2.0) - 8.0
-        by_product = iou(a, b) - (dx * dx) / (cw * cw + 4.0 * 4.0)
-        assert by_product != diou(a, b)
-        threshold = min(by_product, diou(a, b))
-        assert_nms_matches_oracle([det(a, 0, 0.9), det(b, 0, 0.8)], threshold)
+        threshold = scalar_iou(a, b) - (dx * dx) / (cw * cw + 4.0 * 4.0)
+        assert threshold == diou(a, b) != scalar_diou(a, b)
+        dets = np.array([det(a, 0, 0.9), det(b, 0, 0.8)])
+        for t, kept in ((threshold, 2), (np.nextafter(threshold, -np.inf), 1)):
+            assert len(diou_nms(dets, t)) == kept
+            assert len(brute_force_nms(dets, t)) == kept
+            assert_nms_matches_oracle(dets, t)
 
     def test_chain_across_blocks_keeps_every_other_box(self):
         # neighbours 0.5 apart have DIoU 0.58, boxes 1.0 apart 0.30: box
@@ -280,8 +338,7 @@ class TestDIoUNMS:
 
     @pytest.mark.parametrize("threshold", [0.45, 0.0, -0.3, math.nan])
     def test_non_finite_boxes_match_oracle(self, threshold):
-        # such a pair takes every later row, and its DIoU is the scalar
-        # `diou`'s, whose min and max treat NaN otherwise than numpy's
+        # such a pair takes every later row, whatever its corners
         rng = np.random.default_rng(5)
         with np.errstate(invalid="ignore", over="ignore"):
             for _ in range(40):
@@ -292,6 +349,32 @@ class TestDIoUNMS:
                 dets = [det(Box(*map(float, f)), int(rng.integers(0, 2)),
                             float(rng.uniform())) for f in fields]
                 assert_nms_matches_oracle(dets, threshold)
+
+    def test_non_finite_boxes_follow_the_kernel(self):
+        # a NaN field fails `union > 0` and `c2 > 0`: DIoU 0 against any
+        # box, so a NaN box suppresses nothing and falls to nothing at a
+        # threshold >= 0; an infinite center gives inf / inf, a NaN DIoU,
+        # which drops the later box at any threshold
+        box = Box(1.0, 1.0, 2.0, 2.0)
+
+        def kept(a, b, threshold):
+            pair = np.array([det(a, 0, 0.9), det(b, 0, 0.8)])
+            got = diou_nms(pair, threshold)
+            assert got.tobytes() == pair[:len(got)].tobytes()
+            return len(got)
+
+        with np.errstate(invalid="ignore"):
+            for field in range(4):
+                bad = Box(*[math.nan if k == field else v for k, v in
+                            enumerate((1.0, 1.0, 2.0, 2.0))])
+                assert diou(bad, box) == diou(box, bad) == 0.0
+                for a, b in ((bad, box), (box, bad)):
+                    counts = [kept(a, b, t) for t in (0.45, 0.0, -0.3)]
+                    assert counts == [2, 2, 1]
+            far = Box(math.inf, 1.0, 2.0, 2.0)
+            assert math.isnan(diou(far, box)) and math.isnan(diou(box, far))
+            for a, b in ((far, box), (box, far)):
+                assert [kept(a, b, t) for t in (0.45, 1.0)] == [1, 1]
 
     def test_nan_scores_rank_last_by_index(self):
         # disjoint boxes, so every row is kept and the output is the rank
