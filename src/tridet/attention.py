@@ -71,12 +71,11 @@ class SpatialAttention(Layer):
     weights start as a delta at the stencil center.
     """
 
-    def __init__(self, channels, rng=None, depthwise=False):
+    def __init__(self, channels, *, depthwise=False):
         if depthwise:
             # depth-wise 3x3 context + zero-initialized point-wise heads
-            self.offset_dw = Conv2d(channels, channels, 3, rng,
-                                    groups=channels)
-            self.mod_dw = Conv2d(channels, channels, 3, rng, groups=channels)
+            self.offset_dw = Conv2d(channels, channels, 3, groups=channels)
+            self.mod_dw = Conv2d(channels, channels, 3, groups=channels)
             self.offset_pred = Conv2d(channels, 2 * STENCIL_K, 1,
                                       zero_init=True)
             self.mod_pred = Conv2d(channels, STENCIL_K, 1, zero_init=True)
@@ -142,10 +141,9 @@ class TaskAttention(Layer):
     pointwise max of the two affine branches.
     """
 
-    def __init__(self, channels, rng=None, reduction=4, lambda_a=1.0,
-                 lambda_b=0.5):
+    def __init__(self, channels, reduction=4, lambda_a=1.0, lambda_b=0.5):
         hidden = max(1, channels // reduction)
-        self.fc1 = Linear(channels, hidden, rng)
+        self.fc1 = Linear(channels, hidden)
         self.fc2 = Linear(hidden, 4, zero_init=True)
         self.lambda_a = lambda_a
         self.lambda_b = lambda_b
@@ -191,11 +189,11 @@ class TaskAttention(Layer):
 class DynamicBlock(Layer):
     """Sequential composition scale -> spatial -> task attention."""
 
-    def __init__(self, channels, rng=None, reduction=4, lambda_a=1.0,
-                 lambda_b=0.5, depthwise=False):
+    def __init__(self, channels, reduction=4, lambda_a=1.0, lambda_b=0.5,
+                 depthwise=False):
         self.scale = ScaleAttention()
-        self.spatial = SpatialAttention(channels, rng, depthwise=depthwise)
-        self.task = TaskAttention(channels, rng, reduction, lambda_a, lambda_b)
+        self.spatial = SpatialAttention(channels, depthwise=depthwise)
+        self.task = TaskAttention(channels, reduction, lambda_a, lambda_b)
 
     def forward(self, x):
         return self.task.forward(self.spatial.forward(*self.scale.forward(x)))
@@ -209,22 +207,20 @@ class TDAHead(Layer):
     A * (5 + num_classes) raw prediction channels."""
 
     def __init__(self, channels, n_blocks, num_classes, anchors_per_level,
-                 rng=None, reduction=4, lambda_a=1.0, lambda_b=0.5,
-                 depthwise=False):
+                 reduction=4, lambda_a=1.0, lambda_b=0.5, depthwise=False):
         if n_blocks not in (1, 2):
             raise ValueError(f"n_blocks must be 1 or 2, got {n_blocks}")
-        self.blocks = [DynamicBlock(channels, rng, reduction, lambda_a,
-                                    lambda_b, depthwise)
-                       for _ in range(n_blocks)]
+        self.blocks = [DynamicBlock(channels, reduction, lambda_a, lambda_b,
+                                    depthwise) for _ in range(n_blocks)]
         self.out_channels = anchors_per_level * (5 + num_classes)
         if depthwise:
-            self.conv3 = Conv2d(channels, channels, 3, rng, groups=channels)
-            self.conv3_pw = Conv2d(channels, channels, 1, rng)
+            self.conv3 = Conv2d(channels, channels, 3, groups=channels)
+            self.conv3_pw = Conv2d(channels, channels, 1)
         else:
-            self.conv3 = Conv2d(channels, channels, 3, rng)
+            self.conv3 = Conv2d(channels, channels, 3)
             self.conv3_pw = None
         self.act = Activation("leaky_relu")
-        self.conv1 = Conv2d(channels, self.out_channels, 1, rng)
+        self.conv1 = Conv2d(channels, self.out_channels, 1)
 
     def forward(self, x):
         y = np.asarray(x, dtype=np.float64)

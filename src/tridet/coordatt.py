@@ -24,15 +24,15 @@ class CoordAttention(Layer):
     sigmoid gates.
     """
 
-    def __init__(self, channels, ratio=16, rng=None):
+    def __init__(self, channels, ratio=16):
         if channels % ratio:
             raise ops.ShapeError(
                 f"reduction ratio {ratio} does not divide {channels} channels")
         mid = channels // ratio
-        self.squeeze = Conv2d(channels, mid, 1, rng)
+        self.squeeze = Conv2d(channels, mid, 1)
         self.squeeze_bn = BatchNorm2d(mid)
-        self.expand_h = Conv2d(mid, channels, 1, rng)
-        self.expand_w = Conv2d(mid, channels, 1, rng)
+        self.expand_h = Conv2d(mid, channels, 1)
+        self.expand_w = Conv2d(mid, channels, 1)
         self._cache = None
 
     def generate(self, q_h, q_w):

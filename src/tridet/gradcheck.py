@@ -24,6 +24,7 @@ from .attention import (DynamicBlock, ScaleAttention, SpatialAttention,
                         TaskAttention, TDAHead)
 from .config import ModelConfig
 from .coordatt import CoordAttention
+from .layers import init_params
 from .postproc import (Box, box_planes, detection_loss, diou_planes,
                        focal_loss, focal_loss_grad_p)
 
@@ -236,7 +237,8 @@ def _dyrelu_gap(blk, x):
 
 
 def check_dynamic_block(rng):
-    blk = DynamicBlock(4, np.random.default_rng(rng.integers(1 << 31)), reduction=2)
+    blk = init_params(DynamicBlock(4, reduction=2),
+                      np.random.default_rng(rng.integers(1 << 31)))
     blk.scale.weight.value = rng.uniform(-0.2, 0.2, (2, 2))
     blk.spatial.offset_pred.bias.value = rng.uniform(0.2, 0.4, 18)
     blk.spatial.tap_weights.value = rng.uniform(-0.5, 0.5, 9)
@@ -250,8 +252,8 @@ def check_dynamic_block(rng):
 
 
 def check_tda_head(rng):
-    head = TDAHead(4, 2, 2, 1, np.random.default_rng(rng.integers(1 << 31)),
-                   reduction=2)
+    head = init_params(TDAHead(4, 2, 2, 1, reduction=2),
+                       np.random.default_rng(rng.integers(1 << 31)))
     for blk in head.blocks:
         blk.spatial.offset_pred.bias.value = rng.uniform(0.2, 0.4, 18)
         blk.task.fc2.weight.value = rng.uniform(-0.3, 0.3,
@@ -274,7 +276,8 @@ def check_tda_head(rng):
 # ---------------------------------------------------------------------------
 
 def check_coord_attention(rng):
-    ca = CoordAttention(8, 4, np.random.default_rng(rng.integers(1 << 31)))
+    ca = init_params(CoordAttention(8, 4),
+                     np.random.default_rng(rng.integers(1 << 31)))
     ca.squeeze.bias.value = rng.uniform(0.1, 0.4, ca.squeeze.bias.value.shape)
     x = rng.standard_normal((8, 3, 4))
     return _check_layer(rng, ca, (x,))

@@ -6,9 +6,13 @@ their own backward passes by hand.  A layer's Param attributes are its
 parameters and its Layer attributes its children: one pre-order walk of
 those attributes, Layer.named_modules(), gives every layer its dotted
 path, and everything that counts, checkpoints or steps parameters uses it.
+Construction draws no random numbers: weights start at zero until
+init_params(layer, rng) draws them, in one walk of that tree.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,28 +62,17 @@ class Layer:
             p.grad[...] = 0.0
 
 
-def uniform_init(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class Conv2d(Layer):
     """k x k convolution with bias and "same" padding k // 2."""
 
-    def __init__(self, in_c, out_c, k, rng=None, stride=1, groups=1,
-                 zero_init=False):
+    def __init__(self, in_c, out_c, k, *, stride=1, groups=1, zero_init=False):
         self.in_c = in_c
         self.out_c = out_c
         self.k = k
         self.stride = stride
         self.groups = groups
-        fan_in = (in_c // groups) * k * k
-        shape = (out_c, in_c // groups, k, k)
-        if zero_init or rng is None:
-            w = np.zeros(shape)
-        else:
-            w = uniform_init(rng, shape, fan_in)
-        self.weight = Param(w)
+        self.zero_init = zero_init
+        self.weight = Param(np.zeros((out_c, in_c // groups, k, k)))
         self.bias = Param(np.zeros(out_c))
         self._x = None
 
@@ -98,13 +91,9 @@ class Conv2d(Layer):
 
 
 class Linear(Layer):
-    def __init__(self, in_d, out_d, rng=None, zero_init=False):
-        shape = (out_d, in_d)
-        if zero_init or rng is None:
-            w = np.zeros(shape)
-        else:
-            w = uniform_init(rng, shape, in_d)
-        self.weight = Param(w)
+    def __init__(self, in_d, out_d, *, zero_init=False):
+        self.zero_init = zero_init
+        self.weight = Param(np.zeros((out_d, in_d)))
         self.bias = Param(np.zeros(out_d))
         self._x = None
 
@@ -182,17 +171,32 @@ class Sequential(Layer):
         return gy
 
 
-def conv_block(in_c, out_c, k, rng, stride=1, depthwise=False):
+def conv_block(in_c, out_c, k, *, stride=1, depthwise=False):
     """Conv + leaky ReLU; spatial convs become depthwise+pointwise pairs
     when depthwise is set (the mobile variant)."""
     if depthwise and k > 1:
         stages = [
-            Conv2d(in_c, in_c, k, rng, stride=stride, groups=in_c),
-            Conv2d(in_c, out_c, 1, rng),
+            Conv2d(in_c, in_c, k, stride=stride, groups=in_c),
+            Conv2d(in_c, out_c, 1),
         ]
     else:
-        stages = [Conv2d(in_c, out_c, k, rng, stride=stride)]
+        stages = [Conv2d(in_c, out_c, k, stride=stride)]
     return Sequential(*stages, Activation("leaky_relu"))
+
+
+def init_params(layer, rng):
+    """Fills each Conv2d and Linear weight not flagged zero_init, in place,
+    with U(-b, b) draws, b = 1 / sqrt(fan_in), in named_modules() order;
+    every other parameter keeps its constructed value.  Returns the layer."""
+    for _, module in layer.named_modules():
+        if isinstance(module, (Conv2d, Linear)) and not module.zero_init:
+            w = module.weight.value
+            bound = 1.0 / math.sqrt(math.prod(w.shape[1:]))
+            # rng.uniform(-bound, bound, w.shape) bit for bit, but in place
+            rng.random(out=w)
+            w *= 2.0 * bound
+            w -= bound
+    return layer
 
 
 def sgd_step(params, lr):

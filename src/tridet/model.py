@@ -11,7 +11,7 @@ import numpy as np
 
 from .attention import TDAHead
 from .config import ModelConfig
-from .layers import Layer
+from .layers import Layer, init_params
 from .neck import Neck, ToyBackbone
 
 WEIGHT_MAGIC = b"3AW1"
@@ -25,18 +25,17 @@ class Model(Layer):
     def __init__(self, cfg: ModelConfig):
         cfg.validate()
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
-        self.backbone = ToyBackbone(cfg.widths, rng, cfg.depthwise)
-        self.neck = Neck(cfg.widths, rng, cfg.ca_ratio, cfg.csp_enabled,
+        self.backbone = ToyBackbone(cfg.widths, depthwise=cfg.depthwise)
+        self.neck = Neck(cfg.widths, cfg.ca_ratio, cfg.csp_enabled,
                          cfg.depthwise)
         a = len(cfg.anchors[0])
         self.heads = [
-            TDAHead(c, cfg.n_blocks, cfg.num_classes, a, rng,
-                    cfg.dyrelu_reduction, cfg.lambda_a, cfg.lambda_b,
-                    cfg.depthwise)
+            TDAHead(c, cfg.n_blocks, cfg.num_classes, a, cfg.dyrelu_reduction,
+                    cfg.lambda_a, cfg.lambda_b, cfg.depthwise)
             for c in cfg.head_channels
         ]
         self._feature_taps = None
+        init_params(self, np.random.default_rng(cfg.seed))
 
     def forward(self, image):
         """image [3, H, W] -> list of raw prediction maps, one per level."""

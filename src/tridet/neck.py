@@ -19,14 +19,12 @@ class ToyBackbone(Layer):
 
     STEM = (8, 16)
 
-    def __init__(self, widths, rng=None, depthwise=False):
+    def __init__(self, widths, *, depthwise=False):
         w3, w4, w5 = widths
         s1, s2 = self.STEM
         chain = [(3, s1), (s1, s2), (s2, w3), (w3, w4), (w4, w5)]
-        self.stages = [
-            conv_block(ci, co, 3, rng, stride=2, depthwise=depthwise)
-            for ci, co in chain
-        ]
+        self.stages = [conv_block(ci, co, 3, stride=2, depthwise=depthwise)
+                       for ci, co in chain]
 
     def forward(self, image):
         """image [3, H, W] -> the (C3, C4, C5) maps at strides 8/16/32."""
@@ -73,16 +71,16 @@ class SppBlock(Layer):
     """The plain five-conv arrangement around SPP: three convs in, SPP,
     two convs out."""
 
-    def __init__(self, cin, mid, rng=None, depthwise=False):
+    def __init__(self, cin, mid, *, depthwise=False):
         self.pre = Sequential(
-            conv_block(cin, mid, 1, rng),
-            conv_block(mid, 2 * mid, 3, rng, depthwise=depthwise),
-            conv_block(2 * mid, mid, 1, rng),
+            conv_block(cin, mid, 1),
+            conv_block(mid, 2 * mid, 3, depthwise=depthwise),
+            conv_block(2 * mid, mid, 1),
         )
         self.spp = SPP()
         self.post = Sequential(
-            conv_block(4 * mid, 2 * mid, 3, rng, depthwise=depthwise),
-            conv_block(2 * mid, mid, 1, rng),
+            conv_block(4 * mid, 2 * mid, 3, depthwise=depthwise),
+            conv_block(2 * mid, mid, 1),
         )
 
     def forward(self, x):
@@ -96,13 +94,13 @@ class CspSppBlock(Layer):
     """Cross-stage-partial replacement for the five-conv SPP block: a
     shortcut branch and a processed branch holding the SPP, merged 1x1."""
 
-    def __init__(self, cin, mid, rng=None, depthwise=False):
-        self.shortcut = conv_block(cin, mid, 1, rng)
-        self.entry = conv_block(cin, mid, 1, rng)
-        self.pre = conv_block(mid, mid, 3, rng, depthwise=depthwise)
+    def __init__(self, cin, mid, *, depthwise=False):
+        self.shortcut = conv_block(cin, mid, 1)
+        self.entry = conv_block(cin, mid, 1)
+        self.pre = conv_block(mid, mid, 3, depthwise=depthwise)
         self.spp = SPP()
-        self.post = conv_block(4 * mid, mid, 1, rng)
-        self.merge = conv_block(2 * mid, mid, 1, rng)
+        self.post = conv_block(4 * mid, mid, 1)
+        self.merge = conv_block(2 * mid, mid, 1)
 
     def forward(self, x):
         a = self.shortcut.forward(x)
@@ -122,11 +120,11 @@ class CspSppBlock(Layer):
 class ThreeConvBlock(Layer):
     """1x1 / 3x3 / 1x1 fusion stack mapping cin channels to cout."""
 
-    def __init__(self, cin, cout, rng=None, depthwise=False):
+    def __init__(self, cin, cout, *, depthwise=False):
         self.body = Sequential(
-            conv_block(cin, cout, 1, rng),
-            conv_block(cout, 2 * cout, 3, rng, depthwise=depthwise),
-            conv_block(2 * cout, cout, 1, rng),
+            conv_block(cin, cout, 1),
+            conv_block(cout, 2 * cout, 3, depthwise=depthwise),
+            conv_block(2 * cout, cout, 1),
         )
 
     def forward(self, x):
@@ -143,14 +141,14 @@ class CSPLayer(Layer):
     widths.
     """
 
-    def __init__(self, cin, cout, rng=None, depthwise=False):
+    def __init__(self, cin, cout, *, depthwise=False):
         half = cout // 2
-        self.branch_a = conv_block(cin, half, 1, rng)
-        self.branch_b = conv_block(cin, half, 1, rng)
+        self.branch_a = conv_block(cin, half, 1)
+        self.branch_b = conv_block(cin, half, 1)
         self.inner = Sequential(
-            conv_block(half, half, 1, rng),
-            conv_block(half, half, 3, rng, depthwise=depthwise))
-        self.merge = conv_block(2 * half, cout, 1, rng)
+            conv_block(half, half, 1),
+            conv_block(half, half, 3, depthwise=depthwise))
+        self.merge = conv_block(2 * half, cout, 1)
         self._half = half
 
     def forward(self, x):
@@ -169,34 +167,34 @@ class Neck(Layer):
     """Feature fusion from (C3, C4, C5) to (P3, P4, P5), with coordinate
     attention applied at each backbone tap."""
 
-    def __init__(self, widths, rng=None, ca_ratio=16, csp_enabled=False,
+    def __init__(self, widths, ca_ratio=16, csp_enabled=False,
                  depthwise=False):
         w3, w4, w5 = widths
         h3, h4, h5 = w3 // 2, w4 // 2, w5 // 2
         self.out_channels = (h3, h4, h5)
-        self.ca3 = CoordAttention(w3, ca_ratio, rng)
-        self.ca4 = CoordAttention(w4, ca_ratio, rng)
-        self.ca5 = CoordAttention(w5, ca_ratio, rng)
+        self.ca3 = CoordAttention(w3, ca_ratio)
+        self.ca4 = CoordAttention(w4, ca_ratio)
+        self.ca5 = CoordAttention(w5, ca_ratio)
         if csp_enabled:
-            self.spp_block = CspSppBlock(w5, h5, rng, depthwise)
-            self.fuse4 = CSPLayer(2 * h4, h4, rng, depthwise=depthwise)
-            self.fuse3 = CSPLayer(2 * h3, h3, rng, depthwise=depthwise)
-            self.fuse4b = CSPLayer(2 * h4, h4, rng, depthwise=depthwise)
-            self.fuse5b = CSPLayer(2 * h5, h5, rng, depthwise=depthwise)
+            self.spp_block = CspSppBlock(w5, h5, depthwise=depthwise)
+            self.fuse4 = CSPLayer(2 * h4, h4, depthwise=depthwise)
+            self.fuse3 = CSPLayer(2 * h3, h3, depthwise=depthwise)
+            self.fuse4b = CSPLayer(2 * h4, h4, depthwise=depthwise)
+            self.fuse5b = CSPLayer(2 * h5, h5, depthwise=depthwise)
         else:
-            self.spp_block = SppBlock(w5, h5, rng, depthwise)
-            self.fuse4 = ThreeConvBlock(2 * h4, h4, rng, depthwise)
-            self.fuse3 = ThreeConvBlock(2 * h3, h3, rng, depthwise)
-            self.fuse4b = ThreeConvBlock(2 * h4, h4, rng, depthwise)
-            self.fuse5b = ThreeConvBlock(2 * h5, h5, rng, depthwise)
-        self.reduce5 = conv_block(h5, h4, 1, rng)
-        self.reduce4 = conv_block(h4, h3, 1, rng)
-        self.lat4 = conv_block(w4, h4, 1, rng)
-        self.lat3 = conv_block(w3, h3, 1, rng)
+            self.spp_block = SppBlock(w5, h5, depthwise=depthwise)
+            self.fuse4 = ThreeConvBlock(2 * h4, h4, depthwise=depthwise)
+            self.fuse3 = ThreeConvBlock(2 * h3, h3, depthwise=depthwise)
+            self.fuse4b = ThreeConvBlock(2 * h4, h4, depthwise=depthwise)
+            self.fuse5b = ThreeConvBlock(2 * h5, h5, depthwise=depthwise)
+        self.reduce5 = conv_block(h5, h4, 1)
+        self.reduce4 = conv_block(h4, h3, 1)
+        self.lat4 = conv_block(w4, h4, 1)
+        self.lat3 = conv_block(w3, h3, 1)
         self.up5 = UpsampleNearest2x()
         self.up4 = UpsampleNearest2x()
-        self.down3 = conv_block(h3, h4, 3, rng, stride=2, depthwise=depthwise)
-        self.down4 = conv_block(h4, h5, 3, rng, stride=2, depthwise=depthwise)
+        self.down3 = conv_block(h3, h4, 3, stride=2, depthwise=depthwise)
+        self.down4 = conv_block(h4, h5, 3, stride=2, depthwise=depthwise)
 
     def forward(self, c3, c4, c5):
         a5 = self.ca5.forward(c5)

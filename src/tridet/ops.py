@@ -487,27 +487,26 @@ def concat_axis_backward(xs, axis, gy):
 def finite_diff_grad(f, x, eps=1e-5, entries=None, out=None):
     """Central-difference gradient of the scalar function f at x.
 
-    Probes the flat `entries` of x in their order, all by default, and
-    writes them into `out` (zeros by default), whose other entries stay.
+    Probes the flat (C-order) `entries` of x in their order, all by
+    default, perturbing x in place whatever its memory layout, and writes
+    them into `out` (zeros by default), whose other entries stay.
     The reference every analytic backward in this library is checked
     against; keep it dumb and independent.
     """
     x = _as_f64(x)
     grad = np.zeros_like(x) if out is None else out
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size) if entries is None else entries:
-        orig = flat[i]
-        flat[i] = orig + eps
+    for i in range(x.size) if entries is None else entries:
+        orig = x.flat[i]
+        x.flat[i] = orig + eps
         fp = f(x)
-        flat[i] = orig - eps
+        x.flat[i] = orig - eps
         fm = f(x)
-        flat[i] = orig
+        x.flat[i] = orig
         if not (np.isfinite(fp) and np.isfinite(fm)):
             cell = tuple(map(int, np.unravel_index(i, x.shape)))
             raise FiniteDiffError(
                 f"non-finite evaluation while probing cell {cell}")
-        gflat[i] = (fp - fm) / (2.0 * eps)
+        grad.flat[i] = (fp - fm) / (2.0 * eps)
     return grad
 
 

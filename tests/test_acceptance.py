@@ -178,10 +178,8 @@ class TestCriterion5ParameterAudit:
         assert values["neck-plain"] - values["neck-csp"] == \
             values["csp-reduction"]
         # cross-check against direct construction
-        plain = Neck(cfg.widths, np.random.default_rng(cfg.seed), cfg.ca_ratio,
-                     csp_enabled=False)
-        csp = Neck(cfg.widths, np.random.default_rng(cfg.seed), cfg.ca_ratio,
-                   csp_enabled=True)
+        plain = Neck(cfg.widths, cfg.ca_ratio, csp_enabled=False)
+        csp = Neck(cfg.widths, cfg.ca_ratio, csp_enabled=True)
         assert count_params(plain)[1] - count_params(csp)[1] == \
             values["csp-reduction"]
 

@@ -9,6 +9,7 @@ from tridet import ops
 from tridet.attention import (BASE_OFFSETS, STENCIL_K, DynamicBlock,
                               ScaleAttention, SpatialAttention, TaskAttention,
                               TDAHead)
+from tridet.layers import init_params
 
 
 class TestScaleAttention:
@@ -128,7 +129,7 @@ class TestTaskAttention:
     def test_output_dominates_both_branches(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((4, 2, 4))
-        layer = TaskAttention(4, rng=rng)
+        layer = init_params(TaskAttention(4), rng)
         layer.fc2.weight.value = rng.uniform(-0.5, 0.5,
                                              layer.fc2.weight.value.shape)
         (a1, b1, a2, b2), _ = layer.coefficients(x)
@@ -138,7 +139,8 @@ class TestTaskAttention:
 
     def test_coefficient_ranges(self):
         rng = np.random.default_rng(13)
-        layer = TaskAttention(4, rng=rng, lambda_a=1.0, lambda_b=0.5)
+        layer = init_params(TaskAttention(4, lambda_a=1.0, lambda_b=0.5),
+                            rng)
         layer.fc2.weight.value = rng.standard_normal(
             layer.fc2.weight.value.shape) * 10
         for _ in range(10):
@@ -152,7 +154,7 @@ class TestTaskAttention:
     def test_gradcheck_on_2x8x4(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((2, 8, 4))
-        layer = TaskAttention(2, rng=rng, reduction=2)
+        layer = init_params(TaskAttention(2, reduction=2), rng)
         layer.fc2.weight.value = rng.uniform(-0.4, 0.4,
                                              layer.fc2.weight.value.shape)
         r = rng.standard_normal(x.shape)
@@ -166,7 +168,7 @@ class TestTaskAttention:
 class TestDynamicBlock:
     def test_equals_explicit_composition(self):
         x = np.random.default_rng(15).standard_normal((4, 4, 4))
-        blk = DynamicBlock(4, np.random.default_rng(99))
+        blk = init_params(DynamicBlock(4), np.random.default_rng(99))
         direct = blk.forward(x.copy())
         step = blk.task.forward(blk.spatial.forward(
             *blk.scale.forward(x.copy())))
@@ -176,33 +178,34 @@ class TestDynamicBlock:
         rng = np.random.default_rng(16)
         for h, w, c in ((3, 5, 4), (4, 4, 8), (6, 3, 2)):
             x = rng.standard_normal((c, h, w))
-            out = DynamicBlock(c, np.random.default_rng(0)).forward(x)
+            out = init_params(DynamicBlock(c),
+                              np.random.default_rng(0)).forward(x)
             assert out.shape == x.shape
 
 
 class TestTDAHead:
     def test_output_shape_and_channels(self):
         rng = np.random.default_rng(17)
-        head = TDAHead(8, 2, 2, 3, rng)
+        head = init_params(TDAHead(8, 2, 2, 3), rng)
         x = rng.standard_normal((8, 4, 4))
         raw = head.forward(x)
         assert raw.shape == (21, 4, 4)   # 3 * (5 + 2)
 
     def test_single_block_variant(self):
-        head = TDAHead(8, 1, 2, 3, np.random.default_rng(18))
+        head = init_params(TDAHead(8, 1, 2, 3), np.random.default_rng(18))
         assert len(head.blocks) == 1
 
     def test_invalid_block_count_rejected(self):
         with pytest.raises(ValueError):
-            TDAHead(8, 3, 2, 3, np.random.default_rng(19))
+            TDAHead(8, 3, 2, 3)
 
     def test_non_map_input_rejected(self):
-        head = TDAHead(4, 1, 2, 1, np.random.default_rng(19))
+        head = init_params(TDAHead(4, 1, 2, 1), np.random.default_rng(19))
         with pytest.raises(ops.ShapeError):
             head.forward(np.zeros((1, 4, 4, 4)))
 
     def test_zero_parameters_give_bias_map(self):
-        head = TDAHead(4, 2, 2, 1, np.random.default_rng(20))
+        head = init_params(TDAHead(4, 2, 2, 1), np.random.default_rng(20))
         for p in head.params():
             p.value[:] = 0.0
         bias = np.arange(7.0) * 0.1

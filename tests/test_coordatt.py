@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from tridet import ops
 from tridet.coordatt import CoordAttention, coord_apply
+from tridet.layers import init_params
 
 
 class TestEmbed:
@@ -46,7 +47,7 @@ class TestGenerate:
 
     def test_gates_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(2)
-        ca = CoordAttention(8, 4, rng)
+        ca = init_params(CoordAttention(8, 4), rng)
         x = rng.standard_normal((8, 4, 4))
         g_h, g_w, _ = ca.generate(*ops.directional_pool(x))
         for g in (g_h, g_w):
@@ -54,7 +55,7 @@ class TestGenerate:
 
     def test_matches_straight_line_composition(self):
         rng = np.random.default_rng(3)
-        ca = CoordAttention(32, 16, rng)
+        ca = init_params(CoordAttention(32, 16), rng)
         ca.squeeze_bn.scale.value = rng.uniform(0.5, 1.5, 2)
         ca.squeeze_bn.shift.value = rng.uniform(-0.5, 0.5, 2)
         ca.squeeze_bn.mean.value = rng.uniform(-0.5, 0.5, 2)
@@ -97,7 +98,7 @@ class TestApply:
 
     def test_strict_contraction_where_nonzero(self):
         rng = np.random.default_rng(6)
-        ca = CoordAttention(4, 2, rng)
+        ca = init_params(CoordAttention(4, 2), rng)
         x = rng.standard_normal((4, 3, 3))
         y = ca.forward(x)
         assert (np.abs(y) < np.abs(x))[x != 0].all()
@@ -107,7 +108,7 @@ class TestModule:
     def test_shape_preservation(self):
         rng = np.random.default_rng(7)
         for h, w in ((3, 4), (5, 5), (2, 7)):
-            ca = CoordAttention(8, 4, rng)
+            ca = init_params(CoordAttention(8, 4), rng)
             x = rng.standard_normal((8, h, w))
             assert ca.forward(x).shape == x.shape
 
@@ -120,7 +121,7 @@ class TestModule:
 
     def test_rank1_gate_factorization(self):
         rng = np.random.default_rng(9)
-        ca = CoordAttention(4, 2, rng)
+        ca = init_params(CoordAttention(4, 2), rng)
         x = rng.standard_normal((4, 3, 5))
         y = ca.forward(x)
         g_h, g_w = ca._cache[1], ca._cache[2]
@@ -131,7 +132,7 @@ class TestModule:
 
     def test_energy_contraction(self):
         rng = np.random.default_rng(10)
-        ca = CoordAttention(8, 4, rng)
+        ca = init_params(CoordAttention(8, 4), rng)
         for _ in range(5):
             x = rng.standard_normal((8, 4, 4))
             y = ca.forward(x)
@@ -139,7 +140,7 @@ class TestModule:
 
     def test_gradcheck_input_and_parameters(self):
         rng = np.random.default_rng(11)
-        ca = CoordAttention(4, 2, rng)
+        ca = init_params(CoordAttention(4, 2), rng)
         ca.squeeze.bias.value = rng.uniform(0.1, 0.4, 2)
         x = rng.standard_normal((4, 3, 3))
         r = rng.standard_normal(x.shape)

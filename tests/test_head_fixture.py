@@ -12,7 +12,7 @@ Parameters are jittered off the exact ties of the default initialization
 gradients compared are two-sided ones.
 
 Regenerate with `PYTHONPATH=src python tests/test_head_fixture.py`; it only
-uses the public head and model constructors.
+uses the public head and model constructors and `init_params`.
 """
 
 from pathlib import Path
@@ -22,6 +22,7 @@ import pytest
 
 from tridet.attention import TDAHead
 from tridet.config import ModelConfig
+from tridet.layers import init_params
 from tridet.model import build_model
 
 FIXTURE = Path(__file__).with_name("head_reference.npz")
@@ -38,7 +39,8 @@ CASES = (
 def run_case(channels, n_blocks, depthwise, h, w, seed):
     """One jittered forward / backward pass; returns the arrays to compare."""
     rng = np.random.default_rng(seed)
-    head = TDAHead(channels, n_blocks, 2, 3, rng, depthwise=depthwise)
+    head = init_params(TDAHead(channels, n_blocks, 2, 3, depthwise=depthwise),
+                       rng)
     for _, p in sorted(head.named_params()):
         p.value = p.value + rng.normal(0.0, 0.05, p.value.shape)
     x = rng.standard_normal((channels, h, w))

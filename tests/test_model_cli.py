@@ -10,7 +10,7 @@ from tridet import cli
 from tridet.attention import TDAHead
 from tridet.config import VARIANTS, ModelConfig, serialize_config
 from tridet.coordatt import CoordAttention
-from tridet.layers import Conv2d, Layer, Param
+from tridet.layers import Conv2d, Layer, Param, init_params
 from tridet.model import (WeightFileError, build_model, load_weights,
                           save_weights)
 from tridet.ppm import write_ppm
@@ -105,7 +105,8 @@ class TestNamedModules:
         assert f"heads.0.blocks.{cfg.n_blocks}" not in paths
 
     def test_depthwise_head_paths_in_attribute_order(self):
-        head = TDAHead(4, 2, 1, 1, np.random.default_rng(0), depthwise=True)
+        head = init_params(TDAHead(4, 2, 1, 1, depthwise=True),
+                           np.random.default_rng(0))
         block = ["", ".scale", ".spatial", ".spatial.offset_dw",
                  ".spatial.mod_dw", ".spatial.offset_pred", ".spatial.mod_pred",
                  ".task", ".task.fc1", ".task.fc2"]

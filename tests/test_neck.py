@@ -8,12 +8,12 @@ from numpy.testing import assert_allclose
 from tridet import ops
 from tridet.neck import (CSPLayer, CspSppBlock, Neck, SPP, SppBlock,
                          ThreeConvBlock, ToyBackbone, count_params)
-from tridet.layers import Conv2d, Layer
+from tridet.layers import Conv2d, Layer, init_params
 
 
 class TestToyBackbone:
     def test_stride_arithmetic(self):
-        bb = ToyBackbone((16, 32, 64), np.random.default_rng(0))
+        bb = init_params(ToyBackbone((16, 32, 64)), np.random.default_rng(0))
         c3, c4, c5 = bb.forward(np.random.default_rng(1).random((3, 64, 64)))
         assert c3.shape == (16, 8, 8)
         assert c4.shape == (32, 4, 4)
@@ -34,7 +34,7 @@ class TestToyBackbone:
 
     def test_param_count_closed_form(self):
         widths = (16, 32, 64)
-        bb = ToyBackbone(widths, np.random.default_rng(3))
+        bb = init_params(ToyBackbone(widths), np.random.default_rng(3))
         chain = [(3, 8), (8, 16), (16, 16), (16, 32), (32, 64)]
         expect = sum(co * ci * 9 + co for ci, co in chain)
         assert count_params(bb)[1] == expect
@@ -64,15 +64,21 @@ class TestSPP:
 class TestCSPLayer:
     def test_shape_preservation(self):
         rng = np.random.default_rng(5)
-        layer = CSPLayer(16, 8, rng)
+        layer = init_params(CSPLayer(16, 8), rng)
         y = layer.forward(rng.standard_normal((16, 6, 6)))
         assert y.shape == (8, 6, 6)
+
+    def test_positional_generator_rejected(self):
+        # a generator left over from when constructors took one must not
+        # land in `depthwise`, where it is truthy and builds the nano form
+        with pytest.raises(TypeError):
+            CSPLayer(16, 8, np.random.default_rng(0))
 
     def test_matches_composed_conv_activation_oracle(self):
         # every conv block is one convolution and a leaky ReLU, so
         # composing the two kernels block by block reproduces the layer
         rng = np.random.default_rng(6)
-        layer = CSPLayer(8, 8, rng)
+        layer = init_params(CSPLayer(8, 8), rng)
         x = rng.standard_normal((8, 5, 5))
         y = layer.forward(x)
 
@@ -94,14 +100,14 @@ class TestCSPLayer:
     @pytest.mark.parametrize("width", [32, 64, 128, 256])
     def test_fewer_params_than_three_conv_block(self, width):
         rng = np.random.default_rng(7)
-        csp = CSPLayer(2 * width, width, rng)
-        plain = ThreeConvBlock(2 * width, width, rng)
+        csp = init_params(CSPLayer(2 * width, width), rng)
+        plain = init_params(ThreeConvBlock(2 * width, width), rng)
         assert count_params(csp)[1] < count_params(plain)[1]
 
     def test_spp_block_substitution_reduces_params(self):
         rng = np.random.default_rng(8)
-        plain = SppBlock(64, 32, rng)
-        csp = CspSppBlock(64, 32, rng)
+        plain = init_params(SppBlock(64, 32), rng)
+        csp = init_params(CspSppBlock(64, 32), rng)
         assert count_params(csp)[1] < count_params(plain)[1]
 
 
@@ -113,7 +119,7 @@ class TestNeck:
 
     def test_output_strides_preserved(self):
         rng = np.random.default_rng(9)
-        neck = Neck((16, 32, 64), rng, ca_ratio=4)
+        neck = init_params(Neck((16, 32, 64), ca_ratio=4), rng)
         p3, p4, p5 = neck.forward(*self._fp(rng))
         assert p3.shape == (8, 8, 8)
         assert p4.shape == (16, 4, 4)
@@ -128,8 +134,10 @@ class TestNeck:
 
     def test_csp_toggle_reduces_params_same_shapes(self):
         rng = np.random.default_rng(10)
-        plain = Neck((16, 32, 64), np.random.default_rng(0), 4, csp_enabled=False)
-        csp = Neck((16, 32, 64), np.random.default_rng(0), 4, csp_enabled=True)
+        plain = init_params(Neck((16, 32, 64), 4, csp_enabled=False),
+                            np.random.default_rng(0))
+        csp = init_params(Neck((16, 32, 64), 4, csp_enabled=True),
+                          np.random.default_rng(0))
         assert count_params(csp)[1] < count_params(plain)[1]
         fp = self._fp(rng)
         out_a = plain.forward(*fp)
@@ -139,7 +147,7 @@ class TestNeck:
 
     def test_deterministic_forward(self):
         rng = np.random.default_rng(11)
-        neck = Neck((16, 32, 64), np.random.default_rng(1), 4)
+        neck = init_params(Neck((16, 32, 64), 4), np.random.default_rng(1))
         fp = self._fp(rng)
         a = neck.forward(*fp)
         b = neck.forward(*fp)
@@ -147,7 +155,8 @@ class TestNeck:
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(12)
-        neck = Neck((4, 8, 16), np.random.default_rng(2), ca_ratio=2)
+        neck = init_params(Neck((4, 8, 16), ca_ratio=2),
+                           np.random.default_rng(2))
         c3 = rng.standard_normal((4, 4, 4))
         c4 = rng.standard_normal((8, 2, 2))
         c5 = rng.standard_normal((16, 1, 1))
@@ -172,7 +181,7 @@ class TestCountParams:
     def test_single_conv_closed_form(self):
         class Wrap(Layer):
             def __init__(self):
-                self.conv = Conv2d(8, 8, 1, np.random.default_rng(0))
+                self.conv = init_params(Conv2d(8, 8, 1), np.random.default_rng(0))
 
         table, total = count_params(Wrap())
         assert total == 8 * 8 + 8 == 72
@@ -186,8 +195,8 @@ class TestCountParams:
         assert count_params(Empty()) == ({}, 0)
 
     def test_paper_width_csp_delta_positive(self):
-        plain = Neck((256, 512, 1024), np.random.default_rng(0), 16,
-                     csp_enabled=False)
-        csp = Neck((256, 512, 1024), np.random.default_rng(0), 16,
-                   csp_enabled=True)
+        plain = init_params(Neck((256, 512, 1024), 16, csp_enabled=False),
+                            np.random.default_rng(0))
+        csp = init_params(Neck((256, 512, 1024), 16, csp_enabled=True),
+                          np.random.default_rng(0))
         assert count_params(plain)[1] - count_params(csp)[1] > 0

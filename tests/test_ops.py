@@ -487,6 +487,20 @@ class TestFiniteDiff:
         g = ops.finite_diff_grad(square, x, entries=[4, 1], out=out)
         assert g is out and g.ravel().tobytes() == want.tobytes()
 
+    def test_strided_x_and_out(self):
+        # transposes are not C-contiguous: the probes must still reach x
+        # in place, and the differences land in `out` at C-order entries
+        x = np.arange(1.0, 13.0).reshape(3, 4).T
+        square = lambda v: float((v ** 2).sum())
+        assert_allclose(ops.finite_diff_grad(square, x), 2 * x, rtol=1e-8)
+        out = np.full((3, 4), 7.0).T
+        g = ops.finite_diff_grad(square, x, entries=[5, 0], out=out)
+        want = np.full((4, 3), 7.0)
+        want.flat[[5, 0]] = 2 * x.flat[[5, 0]]
+        assert g is out
+        assert_allclose(g, want, rtol=1e-8)
+        assert x.tobytes() == np.arange(1.0, 13.0).reshape(3, 4).T.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # bit-for-bit equality with the straightforward forms of each kernel
