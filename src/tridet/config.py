@@ -20,6 +20,7 @@ _DEFAULT_ANCHORS = (
 
 STRIDES = (8, 16, 32)
 ANCHOR_KEYS = ("anchors.p3", "anchors.p4", "anchors.p5")
+ANCHOR_DOMAIN = (math.nextafter(0.0, 1.0), 1e4)  # (0, 1e4], as closed floats
 
 
 class ConfigError(ValueError):
@@ -72,46 +73,35 @@ class ModelConfig:
         return tuple(w // 2 for w in self.widths)
 
     def validate(self):
-        def check(ok, key, msg):
-            if not ok:
-                raise ConfigError(f"bad value for {key}: {msg}", key)
+        def fail(key, msg):
+            raise ConfigError(f"bad value for {key}: {msg}", key)
 
-        check(self.variant in VARIANTS, "model.variant",
-              f"unknown variant {self.variant!r}")
-        check(self.num_classes >= 1, "model.num_classes",
-              f"{self.num_classes} is below 1")
-        check(self.seed >= 0, "model.seed", f"{self.seed} is below 0")
-        check(len(self.widths) == 3 and all(w >= 2 for w in self.widths),
-              "model.widths", f"need three extents >= 2, got {self.widths}")
-        check(self.ca_ratio >= 1, "attention.ca_ratio", f"{self.ca_ratio} is below 1")
+        # every key's value (each element of a tuple), then each anchor extent
+        rows = [(key, getattr(self, attr), dom)
+                for key, (attr, _, _, dom) in KEYS.items()]
+        rows += [(key, sum(level, ()), ANCHOR_DOMAIN)
+                 for key, level in zip(ANCHOR_KEYS, self.anchors)]
+        for key, value, dom in rows:
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    fail(key, f"{v} is not finite")
+                if isinstance(dom[0], str):
+                    if v not in dom:
+                        fail(key, f"{v!r} is not one of {', '.join(dom)}")
+                elif not dom[0] <= v <= dom[1]:
+                    fail(key, f"{v} outside [{dom[0]}, {dom[1]}]")
+        if len(self.widths) != 3:
+            fail("model.widths", f"need three widths, got {self.widths}")
         for w in self.widths:
-            check(w % self.ca_ratio == 0, "attention.ca_ratio",
-                  f"{self.ca_ratio} does not divide width {w}")
-        check(self.dyrelu_reduction >= 1, "attention.dyrelu_reduction",
-              f"{self.dyrelu_reduction} is below 1")
+            if w % self.ca_ratio:
+                fail("attention.ca_ratio",
+                     f"{self.ca_ratio} does not divide width {w}")
         counts = [len(level) for level in self.anchors]
-        # blame the level whose anchor count is the odd one out
-        odd = min(range(len(counts)), key=lambda i: counts.count(counts[i]))
-        check(len(set(counts)) == 1, ANCHOR_KEYS[odd],
-              f"{counts[odd]} anchors, but the levels p3/p4/p5 need equal "
-              f"counts, got {counts}")
-        for key, level in zip(ANCHOR_KEYS, self.anchors):
-            for aw, ah in level:
-                check(math.isfinite(aw) and math.isfinite(ah), key,
-                      f"non-finite anchor extent ({aw}, {ah})")
-                check(aw > 0 and ah > 0, key, f"non-positive anchor extent ({aw}, {ah})")
-        for key, (attr, parse, _) in KEYS.items():
-            if parse is float:
-                v = getattr(self, attr)
-                check(math.isfinite(v), key, f"{v} is not finite")
-        for key in ("detect.conf_threshold", "detect.nms_threshold", "loss.alpha"):
-            v = getattr(self, KEYS[key][0])
-            check(0.0 <= v <= 1.0, key, f"{v} outside [0, 1]")
-        check(0.0 <= self.smooth_eps < 1.0, "loss.smooth_eps",
-              f"{self.smooth_eps} outside [0, 1)")
-        for key in ("loss.gamma", "loss.w_box", "loss.w_obj", "loss.w_cls"):
-            v = getattr(self, KEYS[key][0])
-            check(v >= 0.0, key, f"{v} is below 0")
+        if len(set(counts)) > 1:
+            # blame the level whose anchor count is the odd one out
+            odd = min(range(len(counts)), key=lambda i: counts.count(counts[i]))
+            fail(ANCHOR_KEYS[odd], f"{counts[odd]} anchors, but the levels "
+                 f"p3/p4/p5 need equal counts, got {counts}")
         return self
 
     @classmethod
@@ -148,33 +138,36 @@ def _fmt_float(v):
     return text if float(text) == v else repr(v)
 
 
-# key -> (ModelConfig attribute, parser, formatter), in file order; the
-# anchor keys follow these
+# key -> (ModelConfig attribute, parser, formatter, domain), in file order;
+# the anchor keys follow these.  A domain is a tuple of allowed strings or a
+# closed interval (lo, hi) holding the value, or each of its elements.
 KEYS = {
-    "model.variant": ("variant", str, str),
-    "model.num_classes": ("num_classes", int, str),
+    "model.variant": ("variant", str, str, VARIANTS),
+    "model.num_classes": ("num_classes", int, str, (1, 1000)),
     "model.widths": ("widths", lambda s: tuple(int(t) for t in s.split(",")),
-                     lambda ws: ",".join(str(w) for w in ws)),
-    "model.seed": ("seed", int, str),
-    "model.csp": ("csp_enabled", _parse_bool, lambda b: "true" if b else "false"),
-    "detect.conf_threshold": ("conf_threshold", float, _fmt_float),
-    "detect.nms_threshold": ("nms_threshold", float, _fmt_float),
-    "loss.alpha": ("alpha", float, _fmt_float),
-    "loss.gamma": ("gamma", float, _fmt_float),
-    "loss.smooth_eps": ("smooth_eps", float, _fmt_float),
-    "loss.w_box": ("w_box", float, _fmt_float),
-    "loss.w_obj": ("w_obj", float, _fmt_float),
-    "loss.w_cls": ("w_cls", float, _fmt_float),
-    "attention.ca_ratio": ("ca_ratio", int, str),
-    "attention.dyrelu_reduction": ("dyrelu_reduction", int, str),
-    "attention.lambda_a": ("lambda_a", float, _fmt_float),
-    "attention.lambda_b": ("lambda_b", float, _fmt_float),
+                     lambda ws: ",".join(str(w) for w in ws), (4, 1024)),
+    "model.seed": ("seed", int, str, (0, math.inf)),
+    "model.csp": ("csp_enabled", _parse_bool,
+                  lambda b: "true" if b else "false", (False, True)),
+    "detect.conf_threshold": ("conf_threshold", float, _fmt_float, (0, 1)),
+    "detect.nms_threshold": ("nms_threshold", float, _fmt_float, (0, 1)),
+    "loss.alpha": ("alpha", float, _fmt_float, (0, 1)),
+    "loss.gamma": ("gamma", float, _fmt_float, (0, math.inf)),
+    "loss.smooth_eps": ("smooth_eps", float, _fmt_float,
+                        (0, math.nextafter(1.0, 0.0))),  # [0, 1)
+    "loss.w_box": ("w_box", float, _fmt_float, (0, 100)),
+    "loss.w_obj": ("w_obj", float, _fmt_float, (0, 100)),
+    "loss.w_cls": ("w_cls", float, _fmt_float, (0, 100)),
+    "attention.ca_ratio": ("ca_ratio", int, str, (1, math.inf)),
+    "attention.dyrelu_reduction": ("dyrelu_reduction", int, str, (1, math.inf)),
+    "attention.lambda_a": ("lambda_a", float, _fmt_float, (0, 10)),
+    "attention.lambda_b": ("lambda_b", float, _fmt_float, (0, 10)),
 }
 
 
 def serialize_config(cfg: ModelConfig) -> str:
     lines = [f"{key} = {fmt(getattr(cfg, attr))}"
-             for key, (attr, _, fmt) in KEYS.items()]
+             for key, (attr, _, fmt, _) in KEYS.items()]
     lines += [f"{key} = {_fmt_anchors(level)}"
               for key, level in zip(ANCHOR_KEYS, cfg.anchors)]
     return "\n".join(lines) + "\n"
@@ -201,7 +194,7 @@ def parse_config(text: str) -> ModelConfig:
             if key in ANCHOR_KEYS:
                 anchors[ANCHOR_KEYS.index(key)] = _parse_anchors(value)
             else:
-                attr, parse, _ = KEYS[key]
+                attr, parse, _, _ = KEYS[key]
                 setattr(cfg, attr, parse(value))
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}", key) from e

@@ -317,6 +317,10 @@ def detection_loss(raws, targets, cfg: ModelConfig):
     Returns (total, components, grads) with grads matching raws' shapes.
     """
     num_classes = cfg.num_classes
+    for _, cid in targets:
+        if not 0 <= cid < num_classes:
+            raise ValueError(f"target class {cid} is out of range for "
+                             f"num_classes = {num_classes}")
     views = [_split_raw(np.asarray(r, dtype=np.float64), len(cfg.anchors[l]),
                         num_classes)
              for l, r in enumerate(raws)]

@@ -1,14 +1,19 @@
 """Configuration text format and portable pixmap I/O."""
 
+import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tridet import cli
-from tridet.config import (ANCHOR_KEYS, VARIANTS, ConfigError, ModelConfig,
-                           load_config, parse_config, serialize_config)
+from tridet.config import (ANCHOR_DOMAIN, ANCHOR_KEYS, KEYS, VARIANTS,
+                           ConfigError, ModelConfig, load_config, parse_config,
+                           serialize_config)
 from tridet.model import build_model, save_weights
 from tridet.ppm import ImageFormatError, read_ppm, write_pgm, write_ppm
 
@@ -149,6 +154,17 @@ BAD_CONFIGS = {
         "loss.w_obj = 1", "loss.w_obj = -1"), "loss.w_obj", 12),
     "negative_w_cls": (_DEFAULT_TEXT.replace(
         "loss.w_cls = 0.5", "loss.w_cls = -0.5"), "loss.w_cls", 13),
+    # finite, but overflows the task attention in one training step
+    "huge_lambda_a": (_DEFAULT_TEXT.replace(
+        "attention.lambda_a = 1", "attention.lambda_a = 1e308"),
+        "attention.lambda_a", 16),
+    # the CSP neck built at width 2 has a convolution with fan-in 0
+    "width_two": (_DEFAULT_TEXT.replace(
+        "model.widths = 16,32,64", "model.widths = 2,2,2").replace(
+        "attention.ca_ratio = 16", "attention.ca_ratio = 2"),
+        "model.widths", 3),
+    "huge_w_obj": (_DEFAULT_TEXT.replace(
+        "loss.w_obj = 1", "loss.w_obj = 1e300"), "loss.w_obj", 12),
 }
 
 
@@ -187,9 +203,9 @@ FINITE_KEYS = ("loss.alpha", "loss.gamma", "loss.w_box", "loss.w_obj",
                "loss.smooth_eps") + ANCHOR_KEYS
 
 
-def _with_value(key, value):
-    """The default config text with `key` set to `value`, and its line."""
-    lines = _DEFAULT_TEXT.splitlines(keepends=True)
+def _with_value(key, value, base=_DEFAULT_TEXT):
+    """The config text `base` with `key` set to `value`, and its line."""
+    lines = base.splitlines(keepends=True)
     line = next(i for i, ln in enumerate(lines, 1)
                 if ln.startswith(f"{key} = "))
     text = f"{value}x8,8x8,8x8" if key in ANCHOR_KEYS else value
@@ -223,6 +239,61 @@ class TestNonFiniteConfig:
         assert captured.out == ""
         assert captured.err == (f"error: line {line}: bad value for "
                                 f"attention.lambda_a: inf is not finite\n")
+
+
+def _narrow(variant):
+    return replace(ModelConfig.default(variant), widths=(4, 8, 16),
+                   ca_ratio=4).validate()
+
+
+@pytest.fixture(scope="module")
+def narrow_files(tmp_path_factory):
+    """Weights for every variant at widths (4, 8, 16), and a 64x64 image."""
+    path = tmp_path_factory.mktemp("narrow")
+    for variant in VARIANTS:
+        save_weights(build_model(_narrow(variant)), path / f"{variant}.bin")
+    write_ppm(path / "img.ppm", np.random.default_rng(0).random((3, 64, 64)))
+    return path
+
+
+@st.composite
+def _one_float_key(draw):
+    """A variant, a float key (or anchor key) and a value for it drawn from
+    past both ends of its domain, NaN and the infinities included."""
+    key = draw(st.sampled_from(FINITE_KEYS))
+    lo, hi = ANCHOR_DOMAIN if key in ANCHOR_KEYS else KEYS[key][3]
+    top = min(hi, 1e300)
+    value = draw(st.one_of(st.floats(lo - 1.0, 2.0 * top + 1.0), st.floats()))
+    return draw(st.sampled_from(VARIANTS)), key, value
+
+
+class TestConfigDomains:
+    @settings(max_examples=120, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_one_float_key())
+    def test_refused_at_parse_or_runs(self, narrow_files, capsys, case):
+        variant, key, value = case
+        text, line = _with_value(key, repr(value),
+                                 serialize_config(_narrow(variant)))
+        cfg_path = narrow_files / "drawn.cfg"
+        cfg_path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["train-toy", str(cfg_path), "--steps", "1"])
+            out, err = capsys.readouterr()
+            if code:
+                assert out == ""
+                assert err.startswith(f"error: line {line}: bad value for "
+                                      f"{key}: ")
+                assert err.count("\n") == 1
+                return
+            assert math.isfinite(float(out.split("final loss ")[1].split()[0]))
+            assert cli.main(["run", str(cfg_path),
+                             str(narrow_files / f"{variant}.bin"),
+                             str(narrow_files / "img.ppm")]) == 0
+            assert capsys.readouterr().err == ""
+        cfg = parse_config(text)
+        assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestPpm:

@@ -446,6 +446,15 @@ class TestCli:
         assert out.startswith("step 0 loss ")
         assert "final loss" in out
 
+    def test_train_toy_class_beyond_num_classes(self, tmp_path, capsys):
+        # the training scene labels classes 0 and 1
+        cfg_path = self._write_cfg(tmp_path, toy_cfg(num_classes=1))
+        assert cli.main(["train-toy", cfg_path, "--steps", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: target class 1 is out of range for "
+                       "num_classes = 1\n")
+
     @pytest.mark.parametrize("argv, flag", [
         (["train-toy", "--steps", "1", "--seed", "-1"], "--seed"),
         (["train-toy", "--steps", "-1"], "--steps"),

@@ -672,6 +672,15 @@ class TestDetectionLoss:
         assert comps["cls"] == 0.0
         assert comps["obj"] > 0.0
 
+    @pytest.mark.parametrize("cid", [2, -1, -2])
+    def test_out_of_range_class_rejected(self, cid):
+        raws = [np.zeros(s) for s in self._shapes()]
+        targets = [(Box(10.0, 12.0, 8.0, 8.0), 0), (Box(20.0, 9.0, 6.0, 6.0), cid),
+                   (Box(5.0, 5.0, 4.0, 4.0), 3)]
+        with pytest.raises(ValueError, match=rf"^target class {cid} is out of "
+                           r"range for num_classes = 2$"):
+            detection_loss(raws, targets, self.CFG)
+
     def test_near_perfect_fit_small_loss(self):
         nc = 2
         gt = Box(10.0, 12.0, 8.5, 7.5)
