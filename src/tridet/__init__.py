@@ -9,13 +9,13 @@ from .config import STRIDES, ConfigError, ModelConfig, load_config, \
     parse_config, serialize_config
 from .model import Model, WeightFileError, build_model, load_weights, \
     save_weights
-from .postproc import Box, diou, diou_nms, focal_loss, label_smooth
+from .postproc import diou, diou_nms, focal_loss, label_smooth
 from .train import run_inference, train_toy
 
 __all__ = [
     "STRIDES", "ConfigError", "ModelConfig", "load_config", "parse_config",
     "serialize_config", "Model", "WeightFileError", "build_model",
-    "load_weights", "save_weights", "Box", "diou", "diou_nms", "focal_loss",
+    "load_weights", "save_weights", "diou", "diou_nms", "focal_loss",
     "label_smooth", "run_inference", "train_toy",
 ]
 

@@ -1,34 +1,28 @@
 """Mosaic and mixup augmentation on labeled toy images.
 
 All randomness flows through an explicit seeded generator, so equal seeds
-give byte-identical outputs.  Images are 3 x H x W float arrays in [0, 1]
-and labels carry a weight so mixup can blend two label sets.
+give byte-identical outputs.  Images are 3 x H x W float arrays in [0, 1].
+Labels are one float64 array [N, 6], a row `cx, cy, w, h, class_id,
+weight` per box; the weight lets mixup blend two label sets.  Every
+transform returns new label rows and leaves its input's unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops
-from .postproc import Box
 
 MIN_BOX_AREA = 4.0
 PAD_VALUE = 0.5
 
 
 @dataclass
-class BoxLabel:
-    box: Box
-    class_id: int
-    weight: float = 1.0
-
-
-@dataclass
 class LabeledImage:
     pixels: np.ndarray            # [3, H, W], values in [0, 1]
-    boxes: list = field(default_factory=list)
+    boxes: np.ndarray = field(default_factory=lambda: np.zeros((0, 6)))
 
     @property
     def hw(self):
@@ -42,14 +36,14 @@ def rng_from_seed(seed):
 def hflip(img: LabeledImage) -> LabeledImage:
     w = img.pixels.shape[2]
     flipped = img.pixels[:, :, ::-1].copy()
-    boxes = [replace(b, box=Box(w - b.box.cx, b.box.cy, b.box.w, b.box.h))
-             for b in img.boxes]
+    boxes = img.boxes.copy()
+    boxes[:, 0] = w - boxes[:, 0]
     return LabeledImage(flipped, boxes)
 
 
 def rgb_shift(img: LabeledImage, deltas) -> LabeledImage:
     shifted = np.clip(img.pixels + np.asarray(deltas)[:, None, None], 0.0, 1.0)
-    return LabeledImage(shifted, [replace(b) for b in img.boxes])
+    return LabeledImage(shifted, img.boxes.copy())
 
 
 def rescale(img: LabeledImage, factor) -> LabeledImage:
@@ -65,27 +59,30 @@ def rescale(img: LabeledImage, factor) -> LabeledImage:
     yy, xx = np.meshgrid(np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1),
                          indexing="ij")
     pixels = ops.grid_sample_zero(img.pixels, yy, xx)
-    sy = nh / h
-    sx = nw / w
-    boxes = [replace(b, box=Box(b.box.cx * sx, b.box.cy * sy,
-                                b.box.w * sx, b.box.h * sy))
-             for b in img.boxes]
+    boxes = img.boxes.copy()
+    boxes[:, :4] *= (nw / w, nh / h, nw / w, nh / h)
     return LabeledImage(pixels, boxes)
 
 
-def _shift_clip_boxes(boxes, dx, dy, out_w, out_h):
-    out = []
-    for b in boxes:
-        x1, y1, x2, y2 = b.box.corners()
-        x1, x2 = x1 + dx, x2 + dx
-        y1, y2 = y1 + dy, y2 + dy
-        x1, x2 = max(0.0, x1), min(float(out_w), x2)
-        y1, y2 = max(0.0, y1), min(float(out_h), y2)
-        if x2 - x1 <= 0 or y2 - y1 <= 0:
-            continue
-        if (x2 - x1) * (y2 - y1) < MIN_BOX_AREA:
-            continue
-        out.append(replace(b, box=Box.from_corners(x1, y1, x2, y2)))
+def _clip(rows, dx, dy, x_lo, y_lo, x_hi, y_hi):
+    """Rows whose first columns are `cx, cy, w, h`, their corners shifted
+    by (dx, dy) and clipped to the window [x_lo, x_hi] x [y_lo, y_hi],
+    without rows left empty or smaller than MIN_BOX_AREA; later columns
+    ride along.  Each shift and bound is one value, or one per row.  A
+    corner meets a bound as Python's `max(lo, x)` and `min(hi, x)` would:
+    a NaN corner becomes the bound."""
+    cx, cy, w, h = rows[:, :4].T
+    # non-finite fields may meet as inf - inf or inf * 0, quietly as in
+    # Python floats
+    with np.errstate(invalid="ignore"):
+        x1, x2 = cx - w / 2 + dx, cx + w / 2 + dx
+        y1, y2 = cy - h / 2 + dy, cy + h / 2 + dy
+        x1, y1 = np.where(x1 > x_lo, x1, x_lo), np.where(y1 > y_lo, y1, y_lo)
+        x2, y2 = np.where(x2 < x_hi, x2, x_hi), np.where(y2 < y_hi, y2, y_hi)
+        w, h = x2 - x1, y2 - y1
+        keep = ~((w <= 0) | (h <= 0) | (w * h < MIN_BOX_AREA))
+    out = rows[keep]
+    out[:, :4] = np.column_stack([(x1 + x2) / 2, (y1 + y2) / 2, w, h])[keep]
     return out
 
 
@@ -117,7 +114,9 @@ def mosaic_apply(imgs, out_size, tf: MosaicTransforms) -> LabeledImage:
     xc = int(round(tf.center[0]))
     yc = int(round(tf.center[1]))
     canvas = np.full((3, s, s), PAD_VALUE)
-    out_boxes = []
+    # label rows, each followed by its shift onto the canvas and the
+    # window of its pasted patch
+    rows = [np.zeros((0, 12))]
     # canvas regions: top-left, top-right, bottom-left, bottom-right
     regions = (
         (0, 0, xc, yc),
@@ -146,18 +145,15 @@ def mosaic_apply(imgs, out_size, tf: MosaicTransforms) -> LabeledImage:
         dy1 = ry2 - ch if anchor_bottom[q] else ry1
         canvas[:, dy1: dy1 + ch, dx1: dx1 + cw] = \
             img.pixels[:, sy1: sy1 + ch, sx1: sx1 + cw]
-        shifted = _shift_clip_boxes(img.boxes, dx1 - sx1, dy1 - sy1, s, s)
-        # keep only boxes whose surviving extent intersects the pasted patch
-        for b in shifted:
-            x1, y1, x2, y2 = b.box.corners()
-            x1, x2 = max(x1, dx1), min(x2, dx1 + cw)
-            y1, y2 = max(y1, dy1), min(y2, dy1 + ch)
-            if x2 - x1 <= 0 or y2 - y1 <= 0:
-                continue
-            if (x2 - x1) * (y2 - y1) < MIN_BOX_AREA:
-                continue
-            out_boxes.append(replace(b, box=Box.from_corners(x1, y1, x2, y2)))
-    return LabeledImage(canvas, out_boxes)
+        rows.append(np.column_stack([img.boxes, np.tile(
+            (dx1 - sx1, dy1 - sy1, dx1, dy1, dx1 + cw, dy1 + ch),
+            (len(img.boxes), 1))]))
+    # clip to the canvas, then to the patch: two clips, as a corners ->
+    # centre -> corners round trip between them rounds
+    rows = np.concatenate(rows)
+    rows = _clip(rows, *rows[:, 6:8].T, 0.0, 0.0, s, s)
+    rows = _clip(rows, 0, 0, *rows[:, 8:].T)
+    return LabeledImage(canvas, rows[:, :6].copy())
 
 
 def mosaic(imgs, out_size, rng, scale_range=(0.5, 1.5), shift_limit=0.05):
@@ -174,6 +170,7 @@ def mixup(a: LabeledImage, b: LabeledImage, lam) -> LabeledImage:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
     pixels = lam * a.pixels + (1.0 - lam) * b.pixels
-    boxes = [replace(x, weight=x.weight * lam) for x in a.boxes] \
-        + [replace(x, weight=x.weight * (1.0 - lam)) for x in b.boxes]
+    boxes = np.concatenate([a.boxes, b.boxes])
+    boxes[:len(a.boxes), 5] *= lam
+    boxes[len(a.boxes):, 5] *= 1.0 - lam
     return LabeledImage(pixels, boxes)

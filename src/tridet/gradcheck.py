@@ -25,8 +25,8 @@ from .attention import (DynamicBlock, ScaleAttention, SpatialAttention,
 from .config import ModelConfig
 from .coordatt import CoordAttention
 from .layers import init_params
-from .postproc import (Box, box_planes, detection_loss, diou_planes,
-                       focal_loss, focal_loss_grad_p)
+from .postproc import (box_planes, detection_loss, diou_planes, focal_loss,
+                       focal_loss_grad_p)
 
 TOL_ELEMENTWISE = 1e-5
 TOL_COMPOSED = 1e-4
@@ -316,13 +316,11 @@ def check_detection_loss_grad(rng):
               (2 * (5 + num_classes), 2, 2),
               (2 * (5 + num_classes), 1, 1)]
     raws = [rng.standard_normal(s) * 0.5 for s in shapes]
-    targets = [
-        (Box(10.3, 12.7, 9.0, 8.5), 0),
-        (Box(21.6, 18.2, 18.0, 17.0), 2),
-    ]
+    labels = np.array([[10.3, 12.7, 9.0, 8.5, 0, 1.0],
+                       [21.6, 18.2, 18.0, 17.0, 2, 1.0]])
 
     def loss(*rs):
-        return detection_loss(list(rs), targets, cfg)
+        return detection_loss(list(rs), labels, cfg)
 
     return _check(rng, lambda *rs: loss(*rs)[0],
                   lambda r: [g * r for g in loss(*raws)[2]], tuple(raws))

@@ -6,7 +6,6 @@ predictions."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,26 +15,6 @@ from .config import STRIDES, ModelConfig
 P_CLAMP = 1e-7
 # rows of one class that `diou_nms` meets with the later rows at once
 NMS_TILE = 64
-
-
-@dataclass
-class Box:
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def corners(self):
-        return (self.cx - self.w / 2, self.cy - self.h / 2,
-                self.cx + self.w / 2, self.cy + self.h / 2)
-
-    @classmethod
-    def from_corners(cls, x1, y1, x2, y2):
-        return cls((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
-
-    @property
-    def area(self):
-        return self.w * self.h
 
 
 class ClampStats:
@@ -99,10 +78,10 @@ def diou_planes(p, q, grad=False):
     return v, d_iou - d_pen
 
 
-def diou(a: Box, b: Box) -> float:
-    """`diou_planes` of two boxes, as a float."""
-    p, q = (box_planes([x.cx, x.cy, x.w, x.h]) for x in (a, b))
-    return float(diou_planes(p, q))
+def diou(a, b) -> float:
+    """`diou_planes` of two boxes, each a `(cx, cy, w, h)` sequence, as a
+    float."""
+    return float(diou_planes(box_planes(a), box_planes(b)))
 
 
 def diou_nms(rows, threshold=0.45):
@@ -281,31 +260,50 @@ def _wh_iou(wh_a, wh_b):
     return inter / (wh_a[0] * wh_a[1] + wh_b[0] * wh_b[1] - inter)
 
 
-def assign_targets(targets, anchors_per_level, strides, grid_hw):
-    """Single best anchor per ground-truth box by width/height prior IoU.
+def assign_targets(labels, anchors_per_level, strides, grid_hw):
+    """Single best anchor per label row by width/height prior IoU.
 
-    Returns {(level, anchor, i, j): (Box, class_id)}; the first box to
-    claim a slot keeps it.
+    Returns {(level, anchor, i, j): row index into labels}; the first row
+    to claim a slot keeps it.
     """
     assigned = {}
-    for box, cid in targets:
+    for k, (cx, cy, bw, bh) in enumerate(labels[:, :4].tolist()):
         best = None
         for lvl, anchors in enumerate(anchors_per_level):
             for a, prior in enumerate(anchors):
-                q = _wh_iou((box.w, box.h), prior)
+                q = _wh_iou((bw, bh), prior)
                 if best is None or q > best[0]:
                     best = (q, lvl, a)
         _, lvl, a = best
         h, w = grid_hw[lvl]
         stride = strides[lvl]
-        j = min(max(int(box.cx / stride), 0), w - 1)
-        i = min(max(int(box.cy / stride), 0), h - 1)
-        assigned.setdefault((lvl, a, i, j), (box, cid))
+        j = min(max(int(cx / stride), 0), w - 1)
+        i = min(max(int(cy / stride), 0), h - 1)
+        assigned.setdefault((lvl, a, i, j), k)
     return assigned
 
 
-def detection_loss(raws, targets, cfg: ModelConfig):
-    """Composite loss over per-level raw prediction tensors.
+def _check_labels(labels, num_classes):
+    """Labels as float64 rows [N, 6]; refuses a wrong shape, and names the
+    first row whose class id is not an integer in [0, num_classes)."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.ndim != 2 or labels.shape[1] != 6:
+        raise ValueError(f"labels must be an [N, 6] array, got shape "
+                         f"{labels.shape}")
+    for k, c in enumerate(labels[:, 4].tolist()):
+        if not math.isfinite(c):
+            raise ValueError(f"label row {k}: class id {c} is not finite")
+        if not c.is_integer():
+            raise ValueError(f"label row {k}: class id {c} is not an integer")
+        if not 0 <= c < num_classes:
+            raise ValueError(f"label row {k}: target class {int(c)} is out "
+                             f"of range for num_classes = {num_classes}")
+    return labels
+
+
+def detection_loss(raws, labels, cfg: ModelConfig):
+    """Composite loss over per-level raw prediction tensors, against label
+    rows [N, 6] of `cx, cy, w, h, class_id, weight` (the weight is not read).
 
     total = w_box * mean(1 - diou) over assigned slots
           + w_obj * focal(objectness) summed over every slot, divided by
@@ -317,24 +315,21 @@ def detection_loss(raws, targets, cfg: ModelConfig):
     Returns (total, components, grads) with grads matching raws' shapes.
     """
     num_classes = cfg.num_classes
-    for _, cid in targets:
-        if not 0 <= cid < num_classes:
-            raise ValueError(f"target class {cid} is out of range for "
-                             f"num_classes = {num_classes}")
+    labels = _check_labels(labels, num_classes)
     views = [_split_raw(np.asarray(r, dtype=np.float64), len(cfg.anchors[l]),
                         num_classes)
              for l, r in enumerate(raws)]
     grid_hw = [v.shape[2:] for v in views]
-    assigned = assign_targets(targets, cfg.anchors, STRIDES, grid_hw)
+    assigned = assign_targets(labels, cfg.anchors, STRIDES, grid_hw)
     grads = [np.zeros_like(v) for v in views]
     n_assigned = len(assigned)
     n_norm = max(1, n_assigned)
 
-    # per slot: column, row, stride, anchor extents and the target box
-    slot = np.array([(j, i, STRIDES[l], *cfg.anchors[l][a],
-                      b.cx, b.cy, b.w, b.h)
-                     for (l, a, i, j), (b, _) in assigned.items()],
-                    dtype=np.float64).reshape(-1, 9)
+    # per slot: column, row, stride and anchor extents, and its label row
+    slot = np.array([(j, i, STRIDES[l], *cfg.anchors[l][a])
+                     for l, a, i, j in assigned],
+                    dtype=np.float64).reshape(-1, 5)
+    target = labels[list(assigned.values())]
     stride = slot[:, 2:3]
     # the box DIoU and class focal terms of every assigned slot at once,
     # with their gradients w.r.t. the slot's raw predictions
@@ -343,9 +338,9 @@ def detection_loss(raws, targets, cfg: ModelConfig):
     sxy = ops.sigmoid(rows[:, :2])
     wh = slot[:, 3:5] * np.exp(rows[:, 2:4])
     pred = np.concatenate([(sxy + slot[:, :2]) * stride, wh], axis=1)
-    d, dd = diou_planes(box_planes(pred.T), box_planes(slot[:, 5:].T), True)
+    d, dd = diou_planes(box_planes(pred.T), box_planes(target[:, :4].T), True)
     pc = ops.sigmoid(rows[:, 5:])
-    onehot = np.eye(num_classes)[[cid for _, cid in assigned.values()]]
+    onehot = np.eye(num_classes)[target[:, 4].astype(np.intp)]
     fl, gpc, clamps = _focal(pc, label_smooth(onehot, cfg.smooth_eps),
                              cfg.alpha, cfg.gamma)
     clamp_stats.count += clamps
@@ -364,14 +359,18 @@ def detection_loss(raws, targets, cfg: ModelConfig):
         ys[l][a, i, j] = 1.0
 
     # objectness: focal summed over every slot, normalized by the number
-    # of positive assignments (the customary focal-loss reduction)
+    # of positive assignments (the customary focal-loss reduction); one
+    # focal call over every level's logits, then one sum per level
+    p = ops.sigmoid(np.concatenate([v[:, 4].ravel() for v in views]))
+    fl, gp, clamps = _focal(p, np.concatenate([y.ravel() for y in ys]),
+                            cfg.alpha, cfg.gamma)
+    clamp_stats.count += clamps
+    gp = cfg.w_obj * (gp / n_norm) * p * (1.0 - p)
+    ends = np.cumsum([y.size for y in ys])[:-1]
     obj_loss = 0.0
-    for lvl, (v, y) in enumerate(zip(views, ys)):
-        p = ops.sigmoid(v[:, 4])
-        fl, gp, clamps = _focal(p, y, cfg.alpha, cfg.gamma)
-        clamp_stats.count += clamps
-        obj_loss += float(fl.sum()) / n_norm
-        grads[lvl][:, 4] += cfg.w_obj * (gp / n_norm) * p * (1.0 - p)
+    for lvl, (f, gl) in enumerate(zip(np.split(fl, ends), np.split(gp, ends))):
+        obj_loss += float(f.sum()) / n_norm
+        grads[lvl][:, 4] += gl.reshape(ys[lvl].shape)
 
     components = {"box": box_loss, "obj": obj_loss, "cls": cls_loss}
     total = cfg.w_box * box_loss + cfg.w_obj * obj_loss + cfg.w_cls * cls_loss

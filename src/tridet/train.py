@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .augment import (BoxLabel, LabeledImage, mixup, mosaic, rng_from_seed)
+from .augment import LabeledImage, mixup, mosaic, rng_from_seed
 from .config import STRIDES, ModelConfig
 from .layers import sgd_step
 from .model import Model
-from .postproc import Box, decode_predictions, detection_loss, diou_nms
+from .postproc import decode_predictions, detection_loss, diou_nms
 
 
 class DivergenceError(RuntimeError):
@@ -17,7 +17,8 @@ class DivergenceError(RuntimeError):
 
 
 def synthetic_scene(size=64):
-    """Mid-gray canvas with colored rectangles at known positions."""
+    """Mid-gray canvas with colored rectangles at known positions, labeled
+    with rows `cx, cy, w, h, class_id, weight`."""
     pixels = np.full((3, size, size), 0.5)
     boxes = []
 
@@ -25,12 +26,12 @@ def synthetic_scene(size=64):
         x1, y1 = int(cx - w / 2), int(cy - h / 2)
         pixels[:, y1: y1 + int(h), x1: x1 + int(w)] = \
             np.asarray(color)[:, None, None]
-        boxes.append(BoxLabel(Box(cx, cy, w, h), cid))
+        boxes.append((cx, cy, w, h, cid, 1.0))
 
     put(18.0, 20.0, 16.0, 12.0, (0.9, 0.2, 0.1), 0)
     put(44.0, 40.0, 20.0, 24.0, (0.1, 0.3, 0.9), 1)
     put(30.0, 52.0, 10.0, 8.0, (0.2, 0.8, 0.2), 0)
-    return LabeledImage(pixels, boxes)
+    return LabeledImage(pixels, np.array(boxes))
 
 
 def training_sample(cfg: ModelConfig, seed, size=64):
@@ -50,14 +51,13 @@ def train_toy(model: Model, cfg: ModelConfig, steps, seed, lr=0.01,
               log=None):
     """Plain gradient descent on the fixed scene; returns the loss curve."""
     sample = training_sample(cfg, seed)
-    targets = [(b.box, b.class_id) for b in sample.boxes]
     # built once: a walk of the module tree costs more than zeroing and
     # stepping the list it yields
     params = [p for p in model.params() if p.trainable]
     curve = []
     for step in range(steps + 1):
         raws = model.forward(sample.pixels)
-        total, comps, graws = detection_loss(raws, targets, cfg)
+        total, comps, graws = detection_loss(raws, sample.boxes, cfg)
         if not np.isfinite(total):
             raise DivergenceError(f"loss became non-finite at step {step}")
         curve.append(total)

@@ -1,39 +1,52 @@
-"""Mosaic / mixup augmentation: transform correctness, box bookkeeping,
-and seeded determinism."""
+"""Mosaic / mixup augmentation: transform correctness, label-row
+bookkeeping, and seeded determinism."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tridet.augment import (BoxLabel, LabeledImage, MosaicTransforms, hflip,
-                            mixup, mosaic, mosaic_apply, rescale, rgb_shift,
+from tridet.augment import (LabeledImage, MosaicTransforms, hflip, mixup,
+                            mosaic, mosaic_apply, rescale, rgb_shift,
                             rng_from_seed)
-from tridet.postproc import Box
+
+
+def label(cx, cy, w, h, class_id, weight=1.0):
+    """One label row: cx, cy, w, h, class_id, weight."""
+    return [cx, cy, w, h, class_id, weight]
 
 
 def toy_image(seed=0, size=32, boxes=()):
     rng = np.random.default_rng(seed)
-    return LabeledImage(rng.random((3, size, size)), list(boxes))
+    return LabeledImage(rng.random((3, size, size)),
+                        np.array(boxes, dtype=np.float64).reshape(-1, 6))
+
+
+def corners(rows):
+    cx, cy, w, h = rows[:, :4].T
+    return cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
 
 
 class TestElementaryTransforms:
     def test_double_hflip_identity(self):
-        img = toy_image(0, boxes=[BoxLabel(Box(10, 12, 6, 4), 1)])
+        img = toy_image(0, boxes=[label(10, 12, 6, 4, 1)])
         back = hflip(hflip(img))
         assert_allclose(back.pixels, img.pixels)
-        assert_allclose(back.boxes[0].box.cx, img.boxes[0].box.cx)
+        assert back.boxes.tobytes() == img.boxes.tobytes()
 
     def test_hflip_mirrors_cx(self):
-        img = toy_image(1, size=32, boxes=[BoxLabel(Box(10, 12, 6, 4), 0)])
+        img = toy_image(1, size=32, boxes=[label(10, 12, 6, 4, 0, 0.5)])
         out = hflip(img)
-        assert out.boxes[0].box.cx == 32 - 10
+        assert out.boxes.tolist() == [[32 - 10, 12, 6, 4, 0, 0.5]]
         assert_allclose(out.pixels[:, :, 0], img.pixels[:, :, -1])
 
     def test_scale_one_identity(self):
-        img = toy_image(2, boxes=[BoxLabel(Box(8, 8, 4, 4), 0)])
+        img = toy_image(2, boxes=[label(8, 8, 4, 4, 0)])
         out = rescale(img, 1.0)
         assert_allclose(out.pixels, img.pixels)
-        assert_allclose(out.boxes[0].box.w, 4.0)
+        assert out.boxes.tobytes() == img.boxes.tobytes()
 
     def test_rgb_shift_clamps(self):
         img = LabeledImage(np.full((3, 4, 4), 0.98))
@@ -44,10 +57,10 @@ class TestElementaryTransforms:
         assert_allclose(out.pixels, 0.0)
 
     def test_rescale_scales_boxes(self):
-        img = toy_image(3, size=16, boxes=[BoxLabel(Box(8, 8, 4, 4), 0)])
+        img = toy_image(3, size=16, boxes=[label(8, 8, 4, 4, 1, 0.5)])
         out = rescale(img, 2.0)
         assert out.pixels.shape == (3, 32, 32)
-        assert_allclose(out.boxes[0].box.w, 8.0)
+        assert out.boxes.tolist() == [[16, 16, 8, 8, 1, 0.5]]
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -68,26 +81,25 @@ class TestMosaic:
         assert_allclose(out.pixels[:, 16:, 16:], imgs[3].pixels[:, :16, :16])
 
     def test_box_fully_inside_quadrant_translates(self):
-        box = BoxLabel(Box(24.0, 26.0, 6.0, 4.0), 1)
         imgs = [toy_image(s, size=32) for s in range(4)]
-        imgs[0] = LabeledImage(imgs[0].pixels, [box])
+        imgs[0] = toy_image(0, size=32, boxes=[label(24.0, 26.0, 6.0, 4.0, 1,
+                                                     0.25)])
         tf = MosaicTransforms((16.0, 16.0), (1.0,) * 4, (False,) * 4,
                               ((0.0, 0.0, 0.0),) * 4)
         out = mosaic_apply(imgs, 32, tf)
-        assert len(out.boxes) == 1
-        # source offset: the crop drops 16 px in each direction
-        assert_allclose(out.boxes[0].box.cx, 24.0 - 16.0)
-        assert_allclose(out.boxes[0].box.cy, 26.0 - 16.0)
-        assert_allclose(out.boxes[0].box.w, 6.0)
+        # source offset: the crop drops 16 px in each direction; class and
+        # weight ride along
+        assert out.boxes.tolist() == [[24.0 - 16.0, 26.0 - 16.0, 6.0, 4.0,
+                                       1, 0.25]]
 
     def test_determinism_under_equal_seeds(self):
-        imgs = [toy_image(s, size=32,
-                          boxes=[BoxLabel(Box(16, 16, 10, 10), s)])
+        imgs = [toy_image(s, size=32, boxes=[label(16, 16, 10, 10, s)])
                 for s in range(4)]
         a = mosaic(imgs, 32, rng_from_seed(123))
         b = mosaic(imgs, 32, rng_from_seed(123))
         assert (a.pixels == b.pixels).all()
-        assert a.boxes == b.boxes
+        assert a.boxes.shape == b.boxes.shape
+        assert a.boxes.tobytes() == b.boxes.tobytes()
 
     def test_requires_four_images(self):
         with pytest.raises(ValueError):
@@ -106,14 +118,14 @@ class TestMosaic:
         rng = rng_from_seed(7)
         for trial in range(10):
             imgs = [toy_image(trial * 4 + s, size=32,
-                              boxes=[BoxLabel(Box(16, 16, 12, 12), 0)])
+                              boxes=[label(16, 16, 12, 12, 0)])
                     for s in range(4)]
             out = mosaic(imgs, 32, rng)
-            for b in out.boxes:
-                x1, y1, x2, y2 = b.box.corners()
-                assert 0 <= x1 <= x2 <= 32
-                assert 0 <= y1 <= y2 <= 32
-                assert b.box.area >= 4.0
+            assert out.boxes.shape[1] == 6
+            x1, y1, x2, y2 = corners(out.boxes)
+            assert ((0 <= x1) & (x1 <= x2) & (x2 <= 32)).all()
+            assert ((0 <= y1) & (y1 <= y2) & (y2 <= 32)).all()
+            assert (out.boxes[:, 2] * out.boxes[:, 3] >= 4.0).all()
 
     def test_pixel_range_preserved(self):
         imgs = [toy_image(s) for s in range(4)]
@@ -123,12 +135,12 @@ class TestMosaic:
 
 class TestMixup:
     def test_lambda_one_keeps_first(self):
-        a = toy_image(0, boxes=[BoxLabel(Box(8, 8, 5, 5), 0)])
-        b = toy_image(1, boxes=[BoxLabel(Box(10, 10, 5, 5), 1)])
+        a = toy_image(0, boxes=[label(8, 8, 5, 5, 0)])
+        b = toy_image(1, boxes=[label(10, 10, 5, 5, 1)])
         out = mixup(a, b, 1.0)
         assert_allclose(out.pixels, a.pixels)
-        weights = {x.class_id: x.weight for x in out.boxes}
-        assert weights == {0: 1.0, 1: 0.0}
+        assert out.boxes.tolist() == [[8, 8, 5, 5, 0, 1.0],
+                                      [10, 10, 5, 5, 1, 0.0]]
 
     def test_half_blend_of_black_and_white(self):
         black = LabeledImage(np.zeros((3, 8, 8)))
@@ -144,3 +156,68 @@ class TestMixup:
     def test_extent_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mixup(toy_image(0, size=16), toy_image(1, size=32), 0.5)
+
+
+class TestLabelRows:
+    def test_mixup_scales_each_side_weight(self):
+        a = toy_image(0, boxes=[label(8, 8, 5, 5, 0, 0.5)])
+        b = toy_image(1, boxes=[label(10, 10, 5, 5, 1, 0.8),
+                                label(4, 4, 2, 2, 0)])
+        out = mixup(a, b, 0.3)
+        assert out.boxes[:, :5].tolist() == [[8, 8, 5, 5, 0], [10, 10, 5, 5, 1],
+                                             [4, 4, 2, 2, 0]]
+        assert out.boxes[:, 5].tolist() == [0.5 * 0.3, 0.8 * (1.0 - 0.3),
+                                            1.0 * (1.0 - 0.3)]
+
+    def test_empty_labels_flow_through_every_transform(self):
+        img = toy_image(5, size=16)
+        assert img.boxes.shape == (0, 6)
+        assert LabeledImage(img.pixels).boxes.shape == (0, 6)
+        for out in (hflip(img), rescale(img, 1.5), rgb_shift(img, (0.1,) * 3),
+                    mixup(img, img, 0.5), mosaic([img] * 4, 24,
+                                                 rng_from_seed(2))):
+            assert out.boxes.shape == (0, 6)
+            assert out.boxes.dtype == np.float64
+
+    def test_no_transform_changes_its_input_labels(self):
+        rng = np.random.default_rng(4)
+        imgs = [toy_image(s, size=24,
+                          boxes=[label(*rng.uniform(-4, 28, 2),
+                                       *rng.uniform(2, 20, 2), s % 2,
+                                       rng.uniform())
+                                 for _ in range(3)])
+                for s in range(4)]
+        before = [img.boxes.copy() for img in imgs]
+        outs = [hflip(imgs[0]), rescale(imgs[1], 1.3),
+                rgb_shift(imgs[2], (0.02, -0.01, 0.0)),
+                mixup(imgs[0], imgs[3], 0.4),
+                mosaic(imgs, 32, rng_from_seed(6), (0.25, 1.75)),
+                mosaic_apply(imgs, 40, MosaicTransforms(
+                    (20.0, 20.0), (1.0,) * 4, (False,) * 4,
+                    ((0.0, 0.0, 0.0),) * 4))]
+        for out in outs:
+            # every output owns its rows, so editing it edits no input
+            out.boxes[...] = -1.0
+        for img, rows in zip(imgs, before):
+            assert img.boxes.tobytes() == rows.tobytes()
+
+    def test_clip_meets_bounds_as_python_max_and_min(self):
+        # a NaN corner becomes the bound, as with Python's max and min;
+        # inf - inf and inf * 0 raise no warning; a -0.0 centre of zero
+        # width is dropped
+        rows = [label(-0.0, 8.0, 0.0, 6.0, 0), label(math.nan, 8.0, 4.0, 4.0, 1),
+                label(8.0, 8.0, math.nan, 4.0, 0),
+                label(math.inf, 8.0, math.inf, 4.0, 1),
+                label(-math.inf, 8.0, 4.0, 0.0, 0)]
+        imgs = [toy_image(s, size=16, boxes=rows) for s in range(4)]
+        tf = MosaicTransforms((16.0, 16.0), (1.0,) * 4, (False,) * 4,
+                              ((0.0, 0.0, 0.0),) * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = mosaic_apply(imgs, 32, tf)
+        # per quadrant, the rows with a NaN or infinite corner span the
+        # canvas along x, then the quadrant's patch
+        want = np.array([[cx, cy, 16.0, 4.0, c, 1.0]
+                         for cy in (8.0, 24.0) for cx in (8.0, 24.0)
+                         for c in (1, 0, 1)])
+        assert out.boxes.tobytes() == want.tobytes()

@@ -258,7 +258,9 @@ class TestTrainToy:
         scene = synthetic_scene()
         assert len(scene.boxes) == 3
         assert scene.pixels.shape == (3, 64, 64)
-        assert {b.class_id for b in scene.boxes} == {0, 1}
+        assert scene.boxes.shape == (3, 6)
+        assert set(scene.boxes[:, 4].tolist()) == {0, 1}
+        assert (scene.boxes[:, 5] == 1.0).all()
 
 
 class TestCli:
@@ -452,8 +454,8 @@ class TestCli:
         assert cli.main(["train-toy", cfg_path, "--steps", "1"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("error: target class 1 is out of range for "
-                       "num_classes = 1\n")
+        assert err == ("error: label row 1: target class 1 is out of range "
+                       "for num_classes = 1\n")
 
     @pytest.mark.parametrize("argv, flag", [
         (["train-toy", "--steps", "1", "--seed", "-1"], "--seed"),

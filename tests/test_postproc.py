@@ -2,7 +2,9 @@
 loss and label smoothing reductions, decoding, and the composite loss."""
 
 import math
+import re
 import warnings
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +16,33 @@ from numpy.testing import assert_allclose
 from tridet import ops
 from tridet.config import ModelConfig
 from tridet.model import build_model
-from tridet.postproc import (NMS_TILE, P_CLAMP, Box, assign_targets,
+from tridet.postproc import (NMS_TILE, P_CLAMP, assign_targets,
                              box_planes, clamp_stats, decode_predictions,
                              detection_loss, diou, diou_nms, diou_planes,
                              focal_loss, focal_loss_grad_p, format_detection,
                              label_smooth)
 from tridet.train import train_toy
+
+
+class Box(namedtuple("Box", "cx cy w h")):
+    """A test box: four named numbers, which `diou` reads as a sequence."""
+
+    def corners(self):
+        return (self.cx - self.w / 2, self.cy - self.h / 2,
+                self.cx + self.w / 2, self.cy + self.h / 2)
+
+    @classmethod
+    def from_corners(cls, x1, y1, x2, y2):
+        return cls((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
+
+    @property
+    def area(self):
+        return self.w * self.h
+
+
+def labels(*pairs):
+    """Label rows [N, 6] from (box, class_id) pairs, each of weight 1."""
+    return np.array([[*box, cid, 1.0] for box, cid in pairs]).reshape(-1, 6)
 
 
 def random_box(rng, span=10.0):
@@ -659,15 +682,15 @@ class TestDetectionLoss:
         return [(1 * (5 + nc), 4, 4), (1 * (5 + nc), 2, 2), (1 * (5 + nc), 1, 1)]
 
     def test_assignment_best_prior(self):
-        targets = [(Box(10, 10, 30, 30), 0)]
+        targets = labels((Box(10, 10, 30, 30), 0))
         assigned = assign_targets(targets, self.ANCHORS, self.STRIDES,
                                   [(4, 4), (2, 2), (1, 1)])
-        assert list(assigned) == [(2, 0, 0, 0)]
+        assert assigned == {(2, 0, 0, 0): 0}
 
     def test_empty_targets_zero_box_component(self):
         raws = [np.random.default_rng(8).standard_normal(s)
                 for s in self._shapes()]
-        total, comps, _ = detection_loss(raws, [], self.CFG)
+        total, comps, _ = detection_loss(raws, np.zeros((0, 6)), self.CFG)
         assert comps["box"] == 0.0
         assert comps["cls"] == 0.0
         assert comps["obj"] > 0.0
@@ -675,11 +698,48 @@ class TestDetectionLoss:
     @pytest.mark.parametrize("cid", [2, -1, -2])
     def test_out_of_range_class_rejected(self, cid):
         raws = [np.zeros(s) for s in self._shapes()]
-        targets = [(Box(10.0, 12.0, 8.0, 8.0), 0), (Box(20.0, 9.0, 6.0, 6.0), cid),
-                   (Box(5.0, 5.0, 4.0, 4.0), 3)]
-        with pytest.raises(ValueError, match=rf"^target class {cid} is out of "
-                           r"range for num_classes = 2$"):
+        targets = labels((Box(10.0, 12.0, 8.0, 8.0), 0),
+                         (Box(20.0, 9.0, 6.0, 6.0), cid),
+                         (Box(5.0, 5.0, 4.0, 4.0), 3))
+        with pytest.raises(ValueError, match=rf"^label row 1: target class "
+                           rf"{cid} is out of range for num_classes = 2$"):
             detection_loss(raws, targets, self.CFG)
+
+    @pytest.mark.parametrize("cid, why", [
+        (1.5, "class id 1.5 is not an integer"),
+        (-0.5, "class id -0.5 is not an integer"),
+        (math.nan, "class id nan is not finite"),
+        (math.inf, "class id inf is not finite"),
+        (-math.inf, "class id -inf is not finite")])
+    def test_bad_class_id_rejected(self, cid, why):
+        # refused before any arithmetic; a float class id once reached
+        # `np.eye(n)[...]` as an index
+        raws = [np.zeros(s) for s in self._shapes()]
+        targets = labels((Box(10.0, 12.0, 8.0, 8.0), 0),
+                         (Box(20.0, 9.0, 6.0, 6.0), 1),
+                         (Box(5.0, 5.0, 4.0, 4.0), cid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^label row 2: {why}$"):
+                detection_loss(raws, targets, self.CFG)
+
+    @pytest.mark.parametrize("shape", [(0,), (6,), (2, 5), (2, 7), (1, 2, 6)])
+    def test_labels_not_n_by_6_rejected(self, shape):
+        raws = [np.zeros(s) for s in self._shapes()]
+        with pytest.raises(ValueError, match=r"^labels must be an \[N, 6\] "
+                           rf"array, got shape {re.escape(str(shape))}$"):
+            detection_loss(raws, np.zeros(shape), self.CFG)
+
+    def test_integral_float_class_ids_accepted(self):
+        # 1.0 and -0.0 are the integers 1 and 0
+        raws = [np.random.default_rng(3).standard_normal(s)
+                for s in self._shapes()]
+        a = labels((Box(10.0, 12.0, 8.0, 8.0), -0.0),
+                   (Box(20.0, 9.0, 6.0, 6.0), 1.0))
+        b = labels((Box(10.0, 12.0, 8.0, 8.0), 0),
+                   (Box(20.0, 9.0, 6.0, 6.0), 1))
+        assert detection_loss(raws, a, self.CFG)[0] == \
+            detection_loss(raws, b, self.CFG)[0]
 
     def test_near_perfect_fit_small_loss(self):
         nc = 2
@@ -692,13 +752,14 @@ class TestDetectionLoss:
         r0[0, 5, 1, 1] = 12.0
         total, comps, _ = detection_loss(
             [r0.reshape(self._shapes(nc)[0]), raws[1], raws[2]],
-            [(gt, 0)], replace(self.CFG, smooth_eps=0.0))
+            labels((gt, 0)), replace(self.CFG, smooth_eps=0.0))
         assert total < 0.01
 
     def test_gradcheck_total(self):
         rng = np.random.default_rng(9)
         raws = [rng.standard_normal(s) * 0.5 for s in self._shapes()]
-        targets = [(Box(11.3, 13.1, 7.0, 9.0), 1), (Box(17.0, 9.0, 30.0, 28.0), 0)]
+        targets = labels((Box(11.3, 13.1, 7.0, 9.0), 1),
+                         (Box(17.0, 9.0, 30.0, 28.0), 0))
         total, _, grads = detection_loss(raws, targets, self.CFG)
         for lvl in range(3):
             def f(v, lvl=lvl):
