@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .layers import Activation, Conv2d, Layer, Linear, Param
+from .layers import Conv2d, Layer, LeakyReLU, Linear, Param
 
 STENCIL_K = 9
 # 3x3 base stencil displacements (dy, dx), row-major, center at index 4
@@ -56,7 +56,7 @@ class ScaleAttention(Layer):
         g0x = gbase + 0.5 * gctx
         g1x = 0.5 * gctx
         dg = np.array([(g0x * x).sum(), (g1x * x).sum()])
-        dz = dg * ops.activation_deriv("hard_sigmoid", z)
+        dz = dg * ops.hard_sigmoid_deriv(z)
         self.weight.grad += np.outer(dz, [m, m])
         self.bias.grad += dz
         gm = (self.weight.value.T @ dz).sum()
@@ -153,7 +153,7 @@ class TaskAttention(Layer):
         """(a1, b1, a2, b2) for a C x H x W map, and the hyper function's
         intermediates for backward."""
         h1 = self.fc1.forward(x.mean(axis=(1, 2)))
-        a = ops.activation("relu", h1)
+        a = np.maximum(h1, 0.0)
         v = self.fc2.forward(a)
         t = 2.0 * ops.hard_sigmoid(v) - 1.0
         a1 = 1.0 + self.lambda_a * t[0]
@@ -178,9 +178,9 @@ class TaskAttention(Layer):
         db2 = float((g * ~mask).sum())
         dt = np.array([self.lambda_a * da1, self.lambda_b * db1,
                        self.lambda_a * da2, self.lambda_b * db2])
-        dv = dt * 2.0 * ops.activation_deriv("hard_sigmoid", v)
+        dv = dt * 2.0 * ops.hard_sigmoid_deriv(v)
         da = self.fc2.backward(dv)
-        dh1 = da * ops.activation_deriv("relu", h1)
+        dh1 = da * (h1 > 0)
         dctx = self.fc1.backward(dh1)
         count = x.shape[1] * x.shape[2]
         return g * np.where(mask, a1, a2) + dctx[:, None, None] / count
@@ -219,7 +219,7 @@ class TDAHead(Layer):
         else:
             self.conv3 = Conv2d(channels, channels, 3)
             self.conv3_pw = None
-        self.act = Activation("leaky_relu")
+        self.act = LeakyReLU()
         self.conv1 = Conv2d(channels, self.out_channels, 1)
 
     def forward(self, x):

@@ -38,16 +38,15 @@ class CoordAttention(Layer):
     def generate(self, q_h, q_w):
         """Stage II: gates (g_h [C,H,1], g_w [C,1,W]) from the embeddings."""
         h = q_h.shape[1]
-        w = q_w.shape[2]
-        stacked = ops.concat_axis([q_h, q_w.transpose(0, 2, 1)], axis=1)
+        stacked = np.concatenate([q_h, q_w.transpose(0, 2, 1)], axis=1)
         f_pre = self.squeeze_bn.forward(self.squeeze.forward(stacked))
-        f = ops.activation("relu", f_pre)
-        f_h, f_w = ops.split_axis(f, 1, [h, w])
+        f = np.maximum(f_pre, 0.0)
+        f_h, f_w = np.split(f, [h], axis=1)
         zh = self.expand_h.forward(f_h)
         zw = self.expand_w.forward(f_w.transpose(0, 2, 1))
         g_h = ops.sigmoid(zh)
         g_w = ops.sigmoid(zw)
-        return g_h, g_w, (f_pre, h, w)
+        return g_h, g_w, (f_pre, h)
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -57,7 +56,7 @@ class CoordAttention(Layer):
         return coord_apply(x, g_h, g_w)
 
     def backward(self, gy):
-        x, g_h, g_w, (f_pre, h, w) = self._cache
+        x, g_h, g_w, (f_pre, h) = self._cache
         gx = gy * g_h * g_w
         gg_h = (gy * x * g_w).sum(axis=2, keepdims=True)
         gg_w = (gy * x * g_h).sum(axis=1, keepdims=True)
@@ -65,9 +64,8 @@ class CoordAttention(Layer):
         gzw = gg_w * g_w * (1.0 - g_w)
         gf_h = self.expand_h.backward(gzh)
         gf_w = self.expand_w.backward(gzw).transpose(0, 2, 1)
-        gf = ops.concat_axis([gf_h, gf_w], axis=1)
-        gf = gf * ops.activation_deriv("relu", f_pre)
+        gf = np.concatenate([gf_h, gf_w], axis=1) * (f_pre > 0)
         gstacked = self.squeeze.backward(self.squeeze_bn.backward(gf))
-        gq_h, gq_w_t = ops.split_axis(gstacked, 1, [h, w])
+        gq_h, gq_w_t = np.split(gstacked, [h], axis=1)
         gx += ops.directional_pool_backward(x, gq_h, gq_w_t.transpose(0, 2, 1))
         return gx

@@ -56,13 +56,11 @@ class SPP(Layer):
 
     def forward(self, x):
         self._x = x
-        return ops.concat_axis([x] + [ops.max_pool2d(x, k) for k in SPP_POOLS], 0)
+        return np.concatenate([x] + [ops.max_pool2d(x, k) for k in SPP_POOLS])
 
     def backward(self, gy):
-        c = self._x.shape[0]
-        parts = ops.split_axis(gy, 0, [c] * (1 + len(SPP_POOLS)))
-        gx = parts[0]
-        for k, g in zip(SPP_POOLS, parts[1:]):
+        gx, *parts = np.split(gy, 1 + len(SPP_POOLS))
+        for k, g in zip(SPP_POOLS, parts):
             gx = gx + ops.max_pool2d_backward(self._x, k, g)
         return gx
 
@@ -105,12 +103,10 @@ class CspSppBlock(Layer):
     def forward(self, x):
         a = self.shortcut.forward(x)
         b = self.post.forward(self.spp.forward(self.pre.forward(self.entry.forward(x))))
-        return self.merge.forward(ops.concat_axis([a, b], 0))
+        return self.merge.forward(np.concatenate([a, b]))
 
     def backward(self, gy):
-        g = self.merge.backward(gy)
-        mid = g.shape[0] // 2
-        ga, gb = ops.split_axis(g, 0, [mid, mid])
+        ga, gb = np.split(self.merge.backward(gy), 2)
         gx = self.shortcut.backward(ga)
         gb = self.entry.backward(
             self.pre.backward(self.spp.backward(self.post.backward(gb))))
@@ -149,16 +145,14 @@ class CSPLayer(Layer):
             conv_block(half, half, 1),
             conv_block(half, half, 3, depthwise=depthwise))
         self.merge = conv_block(2 * half, cout, 1)
-        self._half = half
 
     def forward(self, x):
         a = self.branch_a.forward(x)
         b = self.inner.forward(self.branch_b.forward(x))
-        return self.merge.forward(ops.concat_axis([a, b], 0))
+        return self.merge.forward(np.concatenate([a, b]))
 
     def backward(self, gy):
-        g = self.merge.backward(gy)
-        ga, gb = ops.split_axis(g, 0, [self._half, self._half])
+        ga, gb = np.split(self.merge.backward(gy), 2)
         return self.branch_a.backward(ga) \
             + self.branch_b.backward(self.inner.backward(gb))
 
@@ -171,7 +165,6 @@ class Neck(Layer):
                  depthwise=False):
         w3, w4, w5 = widths
         h3, h4, h5 = w3 // 2, w4 // 2, w5 // 2
-        self.out_channels = (h3, h4, h5)
         self.ca3 = CoordAttention(w3, ca_ratio)
         self.ca4 = CoordAttention(w4, ca_ratio)
         self.ca5 = CoordAttention(w5, ca_ratio)
@@ -201,29 +194,24 @@ class Neck(Layer):
         n5 = self.spp_block.forward(a5)
         t4 = self.up5.forward(self.reduce5.forward(n5))
         a4 = self.ca4.forward(c4)
-        m4 = self.fuse4.forward(ops.concat_axis([self.lat4.forward(a4), t4], 0))
+        m4 = self.fuse4.forward(np.concatenate([self.lat4.forward(a4), t4]))
         t3 = self.up4.forward(self.reduce4.forward(m4))
         a3 = self.ca3.forward(c3)
-        p3 = self.fuse3.forward(ops.concat_axis([self.lat3.forward(a3), t3], 0))
-        p4 = self.fuse4b.forward(ops.concat_axis([self.down3.forward(p3), m4], 0))
-        p5 = self.fuse5b.forward(ops.concat_axis([self.down4.forward(p4), n5], 0))
+        p3 = self.fuse3.forward(np.concatenate([self.lat3.forward(a3), t3]))
+        p4 = self.fuse4b.forward(np.concatenate([self.down3.forward(p3), m4]))
+        p5 = self.fuse5b.forward(np.concatenate([self.down4.forward(p4), n5]))
         self._taps = (a3, a4, a5)
         return p3, p4, p5
 
     def backward(self, gp3, gp4, gp5):
-        h3, h4, h5 = self.out_channels
-        g = self.fuse5b.backward(gp5)
-        gd4, gn5 = ops.split_axis(g, 0, [h5, h5])
+        gd4, gn5 = np.split(self.fuse5b.backward(gp5), 2)
         gp4 = gp4 + self.down4.backward(gd4)
-        g = self.fuse4b.backward(gp4)
-        gd3, gm4 = ops.split_axis(g, 0, [h4, h4])
+        gd3, gm4 = np.split(self.fuse4b.backward(gp4), 2)
         gp3 = gp3 + self.down3.backward(gd3)
-        g = self.fuse3.backward(gp3)
-        gl3, gt3 = ops.split_axis(g, 0, [h3, h3])
+        gl3, gt3 = np.split(self.fuse3.backward(gp3), 2)
         gc3 = self.ca3.backward(self.lat3.backward(gl3))
         gm4 = gm4 + self.reduce4.backward(self.up4.backward(gt3))
-        g = self.fuse4.backward(gm4)
-        gl4, gt4 = ops.split_axis(g, 0, [h4, h4])
+        gl4, gt4 = np.split(self.fuse4.backward(gm4), 2)
         gc4 = self.ca4.backward(self.lat4.backward(gl4))
         gn5 = gn5 + self.reduce5.backward(self.up5.backward(gt4))
         gc5 = self.ca5.backward(self.spp_block.backward(gn5))

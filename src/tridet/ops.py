@@ -1,10 +1,14 @@
 """Dense C-H-W tensor kernels with matching analytic backward passes.
 
 Every kernel is a pure function of numpy float64 arrays; feature maps are
-one image's row-major [C, H, W] array, with no batch axis.  For each
-differentiable op ``foo`` there is a ``foo_backward`` that recomputes
-whatever intermediates it needs from the original inputs; nothing here
-keeps state and nothing builds a graph.  The central-difference oracle
+one image's row-major [C, H, W] array, with no batch axis.  Each kernel
+``foo`` with inputs to differentiate has a ``foo_backward`` that
+recomputes whatever intermediates it needs from the original inputs; the
+two sigmoids are elementwise, and their callers multiply by the
+derivative themselves (``hard_sigmoid_deriv``, and s * (1 - s) for
+``sigmoid``).  Nothing here keeps state and nothing builds a graph.  ReLU,
+leaky ReLU, concatenation and splitting are plain numpy calls where they
+are used.  The central-difference oracle
 ``finite_diff_grad`` is the reference all backward implementations are
 tested against.
 
@@ -364,45 +368,8 @@ def grid_sample_zero_backward(plane, ys, xs, gout):
 
 
 # ---------------------------------------------------------------------------
-# activations
+# sigmoid gates
 # ---------------------------------------------------------------------------
-
-ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "hard_sigmoid")
-
-
-def activation(kind, x):
-    x = _as_f64(x)
-    if kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind == "leaky_relu":
-        return np.maximum(x, 0.1 * x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "hard_sigmoid":
-        return hard_sigmoid(x)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def activation_backward(kind, x, gy):
-    x = _as_f64(x)
-    gy = _as_f64(gy)
-    return gy * activation_deriv(kind, x)
-
-
-def activation_deriv(kind, x):
-    x = _as_f64(x)
-    if kind == "relu":
-        return (x > 0).astype(np.float64)
-    if kind == "leaky_relu":
-        return np.where(x > 0, 1.0, 0.1)
-    if kind == "sigmoid":
-        s = sigmoid(x)
-        return s * (1.0 - s)
-    if kind == "hard_sigmoid":
-        # subgradient 0 at the +/-1 kinks
-        return np.where((x > -1.0) & (x < 1.0), 0.5, 0.0)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
 
 def sigmoid(x):
     """1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) otherwise, so
@@ -417,6 +384,12 @@ def hard_sigmoid(x):
     """max(0, min(1, (x + 1) / 2))."""
     x = _as_f64(x)
     return np.minimum(np.maximum((x + 1.0) * 0.5, 0.0), 1.0)
+
+
+def hard_sigmoid_deriv(x):
+    """d hard_sigmoid / dx: 0.5 inside (-1, 1), 0 outside and at the kinks."""
+    x = _as_f64(x)
+    return np.where((x > -1.0) & (x < 1.0), 0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -449,35 +422,6 @@ def batchnorm_inference_backward(x, scale, shift, mean, var, gy, eps=1e-5):
     gscale = (gy * xhat).sum(axis=(1, 2))
     gshift = gy.sum(axis=(1, 2))
     return gx, gscale, gshift
-
-
-# ---------------------------------------------------------------------------
-# concat / split
-# ---------------------------------------------------------------------------
-
-def concat_axis(xs, axis):
-    xs = [_as_f64(x) for x in xs]
-    ref = xs[0].shape
-    for i, x in enumerate(xs[1:], start=1):
-        for a in range(len(ref)):
-            if a != axis % len(ref) and x.shape[a] != ref[a]:
-                raise ShapeError(
-                    f"concat input {i} extent {x.shape[a]} != {ref[a]} on axis {a}")
-    return np.concatenate(xs, axis=axis)
-
-
-def split_axis(x, axis, sizes):
-    x = _as_f64(x)
-    if sum(sizes) != x.shape[axis]:
-        raise ShapeError(
-            f"split sizes sum {sum(sizes)} != extent {x.shape[axis]} on axis {axis}")
-    offsets = np.cumsum(sizes)[:-1]
-    return [a.copy() for a in np.split(x, offsets, axis=axis)]
-
-
-def concat_axis_backward(xs, axis, gy):
-    sizes = [x.shape[axis] for x in xs]
-    return split_axis(gy, axis, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -285,12 +285,20 @@ def assign_targets(labels, anchors_per_level, strides, grid_hw):
 
 def _check_labels(labels, num_classes):
     """Labels as float64 rows [N, 6]; refuses a wrong shape, and names the
-    first row whose class id is not an integer in [0, num_classes)."""
+    first row with a non-finite box field, a w or h not > 0, or a class id
+    that is not an integer in [0, num_classes)."""
     labels = np.asarray(labels, dtype=np.float64)
     if labels.ndim != 2 or labels.shape[1] != 6:
         raise ValueError(f"labels must be an [N, 6] array, got shape "
                          f"{labels.shape}")
-    for k, c in enumerate(labels[:, 4].tolist()):
+    for k, (cx, cy, w, h, c, _) in enumerate(labels.tolist()):
+        # field by field: cx + cy overflows for two finite 1e308s
+        for name, v in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
+            if not math.isfinite(v):
+                raise ValueError(f"label row {k}: {name} {v} is not finite")
+        for name, v in (("w", w), ("h", h)):
+            if not v > 0:
+                raise ValueError(f"label row {k}: {name} {v} is not > 0")
         if not math.isfinite(c):
             raise ValueError(f"label row {k}: class id {c} is not finite")
         if not c.is_integer():

@@ -55,7 +55,7 @@ class TestSPP:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 8, 8))
         y = SPP().forward(x)
-        parts = ops.split_axis(y, 0, [3, 3, 3, 3])
+        parts = np.split(y, 4)
         assert_allclose(parts[0], x)
         for k, part in zip((5, 9, 13), parts[1:]):
             assert_allclose(part, ops.max_pool2d(x, k))
@@ -88,7 +88,7 @@ class TestCSPLayer:
             z = ops.conv2d(z, conv.weight.value, conv.bias.value,
                            stride=conv.stride, padding=conv.k // 2,
                            groups=conv.groups)
-            return ops.activation("leaky_relu", z)
+            return np.maximum(z, 0.1 * z)
 
         a = block(layer.branch_a, x)
         b = block(layer.branch_b, x)

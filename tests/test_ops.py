@@ -9,6 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tridet import ops
+from tridet.attention import TaskAttention
+from tridet.layers import LeakyReLU
 
 
 def naive_conv2d(x, w, b, stride=1, padding=0):
@@ -361,22 +363,48 @@ class TestActivations:
         assert_allclose(ops.hard_sigmoid(x), [0.5, 1.0, 0.0, 0.75])
 
     def test_relu_points(self):
-        assert ops.activation("relu", np.array(-2.0)) == 0.0
-        assert ops.activation("relu", np.array(3.0)) == 3.0
+        # ReLU is inline in TaskAttention: its hidden means -2 and 3 reach
+        # fc2 as 0 and 3, and only the positive one passes a gradient back
+        layer = TaskAttention(2, reduction=1)
+        layer.fc1.weight.value = np.eye(2)
+        rng = np.random.default_rng(8)
+        layer.fc2.weight.value = rng.uniform(-1, 1, (4, 2))
+        x = np.concatenate([np.full((1, 2, 2), -2.0), np.full((1, 2, 2), 3.0)])
+        y = layer.forward(x)
+        assert layer.fc2._x.tolist() == [0.0, 3.0]
+        layer.backward(np.ones_like(y))
+        da = layer.fc2.bias.grad @ layer.fc2.weight.value
+        assert layer.fc1.bias.grad.tolist() == [0.0, da[1]]
 
     def test_sigmoid_zero(self):
         assert ops.sigmoid(np.array(0.0)) == 0.5
 
+    def test_hard_sigmoid_deriv_points(self):
+        x = np.array([-2.0, -1.0, -0.999, 0.0, 0.999, 1.0, 2.0, np.nan])
+        assert ops.hard_sigmoid_deriv(x).tolist() == \
+            [0.0, 0.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0]
+
     def test_gradcheck_away_from_kinks(self):
+        # each activation as the program computes it: the LeakyReLU layer,
+        # the sigmoids with their derivatives, and the inline ReLU
         rng = np.random.default_rng(9)
         x = rng.standard_normal(20) * 2
         x = x[np.abs(np.abs(x) - 1.0) > 1e-3]
         x = x[np.abs(x) > 1e-3]
-        for kind in ops.ACTIVATIONS:
-            r = np.random.default_rng(10).standard_normal(x.shape)
-            g = ops.activation_backward(kind, x, r)
+        r = np.random.default_rng(10).standard_normal(x.shape)
+        leaky = LeakyReLU()
+        leaky.forward(x)
+        s = ops.sigmoid(x)
+        cases = {
+            "relu": (lambda v: np.maximum(v, 0.0), r * (x > 0)),
+            "leaky_relu": (lambda v: LeakyReLU().forward(v),
+                           leaky.backward(r)),
+            "sigmoid": (ops.sigmoid, r * s * (1.0 - s)),
+            "hard_sigmoid": (ops.hard_sigmoid, r * ops.hard_sigmoid_deriv(x)),
+        }
+        for kind, (forward, g) in cases.items():
             fd = ops.finite_diff_grad(
-                lambda v, k=kind: (ops.activation(k, v) * r).sum(), x.copy())
+                lambda v, f=forward: (f(v) * r).sum(), x.copy())
             assert ops.relative_error(g, fd) < 1e-6, kind
 
     def test_ranges_and_monotonicity(self):
@@ -423,32 +451,6 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             ops.batchnorm_inference(np.zeros((1, 2, 2)), np.ones(1),
                                     np.zeros(1), np.zeros(1), np.array([-1.0]))
-
-
-class TestConcatSplit:
-    def test_round_trip(self):
-        rng = np.random.default_rng(15)
-        a = rng.standard_normal((1, 2, 3, 3))
-        b = rng.standard_normal((1, 5, 3, 3))
-        parts = ops.split_axis(ops.concat_axis([a, b], 1), 1, [2, 5])
-        assert (parts[0] == a).all() and (parts[1] == b).all()
-
-    def test_channel_doubling(self):
-        a = np.zeros((1, 4, 2, 2))
-        assert ops.concat_axis([a, a], 1).shape == (1, 8, 2, 2)
-
-    def test_gradient_routes_slices(self):
-        rng = np.random.default_rng(16)
-        a = rng.standard_normal((2, 3))
-        b = rng.standard_normal((2, 4))
-        gy = rng.standard_normal((2, 7))
-        ga, gb = ops.concat_axis_backward([a, b], 1, gy)
-        assert_allclose(ga, gy[:, :3])
-        assert_allclose(gb, gy[:, 3:])
-
-    def test_extent_mismatch_rejected(self):
-        with pytest.raises(ops.ShapeError):
-            ops.concat_axis([np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 4, 3))], 1)
 
 
 class TestFiniteDiff:
@@ -797,9 +799,18 @@ class TestBitExact:
                 assert got.tobytes() == stacked_window_max_pool(x, k).tobytes()
 
     def test_leaky_relu_matches_where_form(self):
+        # forward and backward of the layer, with +-0, +-inf and NaN in
+        # the input and in the incoming gradient
         rng = np.random.default_rng(23)
         for x in (SPECIALS, np.array([5e-324, -5e-324, 1e308, -1e308]),
                   rng.standard_normal(1001) * 10.0,
-                  rng.standard_normal((4, 9, 7))):
-            want = np.where(x > 0, x, 0.1 * x)
-            assert ops.activation("leaky_relu", x).tobytes() == want.tobytes()
+                  rng.standard_normal((4, 9, 7)),
+                  sprinkled(rng, rng.standard_normal((3, 8, 8)), 0.3)):
+            gy = sprinkled(rng, rng.standard_normal(x.shape), 0.3)
+            act = LeakyReLU()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                y = act.forward(x)
+                gx = act.backward(gy)
+            assert y.tobytes() == np.where(x > 0, x, 0.1 * x).tobytes()
+            assert gx.tobytes() == np.where(x > 0, gy, 0.1 * gy).tobytes()

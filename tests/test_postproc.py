@@ -16,10 +16,11 @@ from numpy.testing import assert_allclose
 from tridet import ops
 from tridet.config import ModelConfig
 from tridet.model import build_model
-from tridet.postproc import (NMS_TILE, P_CLAMP, assign_targets,
-                             box_planes, clamp_stats, decode_predictions,
-                             detection_loss, diou, diou_nms, diou_planes,
-                             focal_loss, focal_loss_grad_p, format_detection,
+from tridet.postproc import (NMS_TILE, P_CLAMP, _check_labels,
+                             assign_targets, box_planes, clamp_stats,
+                             decode_predictions, detection_loss, diou,
+                             diou_nms, diou_planes, focal_loss,
+                             focal_loss_grad_p, format_detection,
                              label_smooth)
 from tridet.train import train_toy
 
@@ -729,6 +730,40 @@ class TestDetectionLoss:
         with pytest.raises(ValueError, match=r"^labels must be an \[N, 6\] "
                            rf"array, got shape {re.escape(str(shape))}$"):
             detection_loss(raws, np.zeros(shape), self.CFG)
+
+    @pytest.mark.parametrize("field, value, why", [
+        (0, math.inf, "cx inf is not finite"),
+        (0, -math.inf, "cx -inf is not finite"),
+        (0, math.nan, "cx nan is not finite"),
+        (1, math.inf, "cy inf is not finite"),
+        (1, math.nan, "cy nan is not finite"),
+        (2, math.nan, "w nan is not finite"),
+        (2, math.inf, "w inf is not finite"),
+        (2, 0.0, "w 0.0 is not > 0"),
+        (2, -0.0, "w -0.0 is not > 0"),
+        (2, -3.0, "w -3.0 is not > 0"),
+        (3, math.nan, "h nan is not finite"),
+        (3, -math.inf, "h -inf is not finite"),
+        (3, 0.0, "h 0.0 is not > 0"),
+        (3, -1e-300, "h -1e-300 is not > 0")])
+    def test_bad_box_field_rejected(self, field, value, why):
+        # refused before any arithmetic: an infinite cx once raised
+        # OverflowError from int(cx / stride), a NaN one a bare ValueError,
+        # and a NaN, zero or negative w trained
+        raws = [np.zeros(s) for s in self._shapes()]
+        targets = labels((Box(10.0, 12.0, 8.0, 8.0), 0),
+                         (Box(20.0, 9.0, 6.0, 6.0), 1))
+        targets[1, field] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^label row 1: {why}$"):
+                detection_loss(raws, targets, self.CFG)
+
+    def test_box_fields_checked_one_by_one(self):
+        # cx + cy overflows to inf for two finite centres; a check of the
+        # sum would refuse this row
+        assert np.isfinite(_check_labels(
+            labels((Box(1e308, 1e308, 8.0, 8.0), 0)), 2)).all()
 
     def test_integral_float_class_ids_accepted(self):
         # 1.0 and -0.0 are the integers 1 and 0
