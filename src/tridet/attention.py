@@ -36,15 +36,9 @@ class ScaleAttention(Layer):
         self.bias = Param(np.full(2, 0.5))
         self._cache = None
 
-    def _logits(self, x):
-        m = x.mean()
-        return m, self.weight.value @ np.array([m, m]) + self.bias.value
-
-    def gates(self, x):
-        return ops.hard_sigmoid(self._logits(x)[1])
-
     def forward(self, x):
-        m, z = self._logits(x)
+        m = x.mean()
+        z = self.weight.value @ np.array([m, m]) + self.bias.value
         g = ops.hard_sigmoid(z)
         self._cache = (x, m, z, g)
         base = g[0] * x

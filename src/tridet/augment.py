@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
+from .postproc import check_box_fields
 
 MIN_BOX_AREA = 4.0
 PAD_VALUE = 0.5
@@ -69,18 +70,14 @@ def _clip(rows, dx, dy, x_lo, y_lo, x_hi, y_hi):
     by (dx, dy) and clipped to the window [x_lo, x_hi] x [y_lo, y_hi],
     without rows left empty or smaller than MIN_BOX_AREA; later columns
     ride along.  Each shift and bound is one value, or one per row.  A
-    corner meets a bound as Python's `max(lo, x)` and `min(hi, x)` would:
-    a NaN corner becomes the bound."""
+    corner meets a bound as Python's `max(lo, x)` and `min(hi, x)` would."""
     cx, cy, w, h = rows[:, :4].T
-    # non-finite fields may meet as inf - inf or inf * 0, quietly as in
-    # Python floats
-    with np.errstate(invalid="ignore"):
-        x1, x2 = cx - w / 2 + dx, cx + w / 2 + dx
-        y1, y2 = cy - h / 2 + dy, cy + h / 2 + dy
-        x1, y1 = np.where(x1 > x_lo, x1, x_lo), np.where(y1 > y_lo, y1, y_lo)
-        x2, y2 = np.where(x2 < x_hi, x2, x_hi), np.where(y2 < y_hi, y2, y_hi)
-        w, h = x2 - x1, y2 - y1
-        keep = ~((w <= 0) | (h <= 0) | (w * h < MIN_BOX_AREA))
+    x1, x2 = cx - w / 2 + dx, cx + w / 2 + dx
+    y1, y2 = cy - h / 2 + dy, cy + h / 2 + dy
+    x1, y1 = np.where(x1 > x_lo, x1, x_lo), np.where(y1 > y_lo, y1, y_lo)
+    x2, y2 = np.where(x2 < x_hi, x2, x_hi), np.where(y2 < y_hi, y2, y_hi)
+    w, h = x2 - x1, y2 - y1
+    keep = ~((w <= 0) | (h <= 0) | (w * h < MIN_BOX_AREA))
     out = rows[keep]
     out[:, :4] = np.column_stack([(x1 + x2) / 2, (y1 + y2) / 2, w, h])[keep]
     return out
@@ -107,9 +104,13 @@ def sample_mosaic_transforms(rng, out_size, scale_range=(0.5, 1.5),
 
 
 def mosaic_apply(imgs, out_size, tf: MosaicTransforms) -> LabeledImage:
-    """Deterministic four-image mosaic given pinned transforms."""
+    """Deterministic four-image mosaic given pinned transforms.  Refuses,
+    as the loss does, an image's label row with a cx, cy, w or h that is
+    not finite or outside LABEL_FIELD_DOMAIN, counting rows per image."""
     if len(imgs) != 4:
         raise ValueError(f"mosaic needs exactly 4 images, got {len(imgs)}")
+    for img in imgs:
+        check_box_fields(img.boxes)
     s = out_size
     xc = int(round(tf.center[0]))
     yc = int(round(tf.center[1]))

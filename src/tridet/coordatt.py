@@ -10,11 +10,6 @@ from . import ops
 from .layers import BatchNorm2d, Conv2d, Layer
 
 
-def coord_apply(x, g_h, g_w):
-    """y_c(i,j) = x_c(i,j) * g_h(c,i) * g_w(c,j)."""
-    return x * g_h * g_w
-
-
 class CoordAttention(Layer):
     """The two-stage module over one [C, H, W] map.
 
@@ -49,11 +44,14 @@ class CoordAttention(Layer):
         return g_h, g_w, (f_pre, h)
 
     def forward(self, x):
+        """y_c(i,j) = x_c(i,j) * g_h(c,i) * g_w(c,j), with the gates
+        generated from the means over width, q_h [C,H,1], and over
+        height, q_w [C,1,W]."""
         x = np.asarray(x, dtype=np.float64)
-        q_h, q_w = ops.directional_pool(x)
-        g_h, g_w, inner = self.generate(q_h, q_w)
+        g_h, g_w, inner = self.generate(x.mean(axis=2, keepdims=True),
+                                        x.mean(axis=1, keepdims=True))
         self._cache = (x, g_h, g_w, inner)
-        return coord_apply(x, g_h, g_w)
+        return x * g_h * g_w
 
     def backward(self, gy):
         x, g_h, g_w, (f_pre, h) = self._cache
@@ -67,5 +65,6 @@ class CoordAttention(Layer):
         gf = np.concatenate([gf_h, gf_w], axis=1) * (f_pre > 0)
         gstacked = self.squeeze.backward(self.squeeze_bn.backward(gf))
         gq_h, gq_w_t = np.split(gstacked, [h], axis=1)
-        gx += ops.directional_pool_backward(x, gq_h, gq_w_t.transpose(0, 2, 1))
+        # each mean over width spreads 1 / W to its row, over height 1 / H
+        gx += gq_h / x.shape[2] + gq_w_t.transpose(0, 2, 1) / h
         return gx

@@ -24,7 +24,7 @@ from .attention import (DynamicBlock, ScaleAttention, SpatialAttention,
                         TaskAttention, TDAHead)
 from .config import ModelConfig
 from .coordatt import CoordAttention
-from .layers import init_params
+from .layers import BatchNorm2d, LeakyReLU, Linear, init_params
 from .postproc import (box_planes, detection_loss, diou_planes, focal_loss,
                        focal_loss_grad_p)
 
@@ -129,10 +129,10 @@ def check_conv2d_grouped(rng):
 
 def check_fully_connected(rng):
     x = rng.standard_normal(8)
-    w = rng.standard_normal((4, 8))
-    b = rng.standard_normal(4)
-    return _check(rng, ops.fully_connected,
-                  lambda r: ops.fully_connected_backward(x, w, r), (x, w, b))
+    layer = Linear(8, 4)
+    layer.weight.value = rng.standard_normal((4, 8))
+    layer.bias.value = rng.standard_normal(4)
+    return _check_layer(rng, layer, (x,))
 
 
 def check_max_pool(rng):
@@ -141,38 +141,31 @@ def check_max_pool(rng):
                   lambda r: ops.max_pool2d_backward(x, 3, r), (x,))
 
 
-def check_directional_pool(rng):
-    x = rng.standard_normal((3, 4, 5))
-    return _check(rng, ops.directional_pool,
-                  lambda rh, rw: ops.directional_pool_backward(x, rh, rw), (x,))
-
-
 def check_activations(rng):
-    """ReLU, leaky ReLU, sigmoid and hard sigmoid, in the forms the layers
-    use, as (forward, derivative, kinks); inputs are pushed off the kinks."""
+    """ReLU, the LeakyReLU layer, sigmoid and hard sigmoid; the inline ReLU
+    and the sigmoids as (forward, derivative) in the forms their callers
+    use, the layer (derivative None) as it runs.  Inputs are pushed off
+    the kinks."""
     errs = []
     for forward, deriv, kinks in (
             (lambda v: np.maximum(v, 0.0), lambda x: x > 0, (0.0,)),
-            (lambda v: np.maximum(v, 0.1 * v),
-             lambda x: np.where(x > 0, 1.0, 0.1), (0.0,)),
+            (LeakyReLU(), None, (0.0,)),
             (ops.sigmoid, lambda x: (s := ops.sigmoid(x)) * (1.0 - s), ()),
             (ops.hard_sigmoid, ops.hard_sigmoid_deriv, (-1.0, 1.0))):
         x = _away_from(rng.standard_normal((3, 7)), kinks)
-        errs.append(_check(rng, forward,
-                           lambda r, d=deriv, x=x: r * d(x), (x,)))
+        errs.append(
+            _check_layer(rng, forward, (x,)) if deriv is None else
+            _check(rng, forward, lambda r, d=deriv, x=x: r * d(x), (x,)))
     return _worst(errs)
 
 
 def check_batchnorm(rng):
     x = rng.standard_normal((4, 3, 3))
-    scale = rng.standard_normal(4)
-    shift = rng.standard_normal(4)
-    mean = rng.standard_normal(4)
-    var = rng.uniform(0.5, 2.0, 4)
-    return _check(
-        rng, lambda *xs: ops.batchnorm_inference(*xs, mean, var),
-        lambda r: ops.batchnorm_inference_backward(x, scale, shift, mean, var, r),
-        (x, scale, shift))
+    layer = BatchNorm2d(4)
+    for p in (layer.scale, layer.shift, layer.mean):
+        p.value = rng.standard_normal(4)
+    layer.var.value = rng.uniform(0.5, 2.0, 4)
+    return _check_layer(rng, layer, (x,))
 
 
 def check_bilinear(rng):
@@ -334,7 +327,6 @@ SUITES = {
         ("conv2d_grouped", check_conv2d_grouped, TOL_ELEMENTWISE),
         ("fully_connected", check_fully_connected, TOL_ELEMENTWISE),
         ("max_pool2d", check_max_pool, TOL_ELEMENTWISE),
-        ("directional_pool", check_directional_pool, TOL_ELEMENTWISE),
         ("activations", check_activations, TOL_ELEMENTWISE),
         ("batchnorm_inference", check_batchnorm, TOL_ELEMENTWISE),
         ("bilinear_sample", check_bilinear, TOL_ELEMENTWISE),

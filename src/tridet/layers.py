@@ -1,4 +1,5 @@
-"""Small stateful layer wrappers around the kernels in ops.py.
+"""Small stateful layers over the kernels in ops.py; Linear, LeakyReLU and
+BatchNorm2d do their own arithmetic.
 
 Each layer caches its forward inputs and accumulates parameter gradients
 in backward(), torch-style but without any graph: composite modules wire
@@ -91,6 +92,8 @@ class Conv2d(Layer):
 
 
 class Linear(Layer):
+    """y = W x + b for a vector x."""
+
     def __init__(self, in_d, out_d, *, zero_init=False):
         self.zero_init = zero_init
         self.weight = Param(np.zeros((out_d, in_d)))
@@ -99,13 +102,12 @@ class Linear(Layer):
 
     def forward(self, x):
         self._x = np.asarray(x, dtype=np.float64)
-        return ops.fully_connected(self._x, self.weight.value, self.bias.value)
+        return self._x @ self.weight.value.T + self.bias.value
 
     def backward(self, gy):
-        gx, gw, gb = ops.fully_connected_backward(self._x, self.weight.value, gy)
-        self.weight.grad += gw
-        self.bias.grad += gb
-        return gx
+        self.weight.grad += np.outer(gy, self._x)
+        self.bias.grad += gy
+        return gy @ self.weight.value
 
 
 class LeakyReLU(Layer):
@@ -122,11 +124,15 @@ class LeakyReLU(Layer):
         return gy * np.where(self._x > 0, 1.0, 0.1)
 
 
-class BatchNorm2d(Layer):
-    """Inference-mode batchnorm: running statistics are fixed buffers."""
+BN_EPS = 1e-5
 
-    def __init__(self, c, eps=1e-5):
-        self.eps = eps
+
+class BatchNorm2d(Layer):
+    """Inference-mode batchnorm, (x - mean) / sqrt(var + BN_EPS) * scale +
+    shift per channel: the running statistics are fixed buffers, held
+    constant in backward."""
+
+    def __init__(self, c):
         self.scale = Param(np.ones(c))
         self.shift = Param(np.zeros(c))
         self.mean = Param(np.zeros(c), trainable=False)
@@ -135,17 +141,20 @@ class BatchNorm2d(Layer):
 
     def forward(self, x):
         self._x = np.asarray(x, dtype=np.float64)
-        return ops.batchnorm_inference(
-            self._x, self.scale.value, self.shift.value,
-            self.mean.value, self.var.value, self.eps)
+        # var is read from weight files, an input boundary
+        if (self.var.value < 0).any():
+            raise ValueError("batchnorm got negative variance")
+        inv = 1.0 / np.sqrt(self.var.value + BN_EPS)
+        return (self._x - self.mean.value[:, None, None]) \
+            * (self.scale.value * inv)[:, None, None] \
+            + self.shift.value[:, None, None]
 
     def backward(self, gy):
-        gx, gs, gb = ops.batchnorm_inference_backward(
-            self._x, self.scale.value, self.shift.value,
-            self.mean.value, self.var.value, gy, self.eps)
-        self.scale.grad += gs
-        self.shift.grad += gb
-        return gx
+        inv = 1.0 / np.sqrt(self.var.value + BN_EPS)
+        xhat = (self._x - self.mean.value[:, None, None]) * inv[:, None, None]
+        self.scale.grad += (gy * xhat).sum(axis=(1, 2))
+        self.shift.grad += gy.sum(axis=(1, 2))
+        return gy * (self.scale.value * inv)[:, None, None]
 
 
 class UpsampleNearest2x(Layer):

@@ -6,11 +6,14 @@ one image's row-major [C, H, W] array, with no batch axis.  Each kernel
 recomputes whatever intermediates it needs from the original inputs; the
 two sigmoids are elementwise, and their callers multiply by the
 derivative themselves (``hard_sigmoid_deriv``, and s * (1 - s) for
-``sigmoid``).  Nothing here keeps state and nothing builds a graph.  ReLU,
-leaky ReLU, concatenation and splitting are plain numpy calls where they
-are used.  The central-difference oracle
-``finite_diff_grad`` is the reference all backward implementations are
-tested against.
+``sigmoid``).  Nothing here keeps state and nothing builds a graph.  The
+convolution, max pool and sampler kernels are timed by name in the
+benchmark, and the sigmoids are shared.  Arithmetic with one caller lives
+in that caller: the fully connected map in Linear, inference batchnorm in
+BatchNorm2d, the directional means in CoordAttention, and ReLU, leaky
+ReLU, concatenation and splitting as plain numpy calls.  The
+central-difference oracle ``finite_diff_grad`` is the reference all
+backward implementations are tested against.
 
 Forward values (the `run` digests, tests/model_reference.npz) and these
 kernels' gradients (tests/test_ops.py) are pinned bit for bit, so the
@@ -41,11 +44,6 @@ def _as_f64(x):
 def _check_map(name, x):
     if x.ndim != 3:
         raise ShapeError(f"{name} expects a rank-3 C x H x W map, got rank {x.ndim}")
-
-
-def _check_vector(name, x):
-    if x.ndim != 1:
-        raise ShapeError(f"{name} expects a rank-1 vector, got rank {x.ndim}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,30 +178,6 @@ def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
 
 
 # ---------------------------------------------------------------------------
-# fully connected
-# ---------------------------------------------------------------------------
-
-def fully_connected(x, weight, bias):
-    """y = W x + b for a vector x."""
-    x = _as_f64(x)
-    weight = _as_f64(weight)
-    bias = _as_f64(bias)
-    _check_vector("fully_connected", x)
-    if x.shape[0] != weight.shape[1]:
-        raise ShapeError(
-            f"input length {x.shape[0]} != weight inner extent {weight.shape[1]}")
-    return x @ weight.T + bias
-
-
-def fully_connected_backward(x, weight, gy):
-    x = _as_f64(x)
-    weight = _as_f64(weight)
-    gy = _as_f64(gy)
-    _check_vector("fully_connected_backward", x)
-    return gy @ weight, np.outer(gy, x), gy.copy()
-
-
-# ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
 
@@ -256,22 +230,6 @@ def max_pool2d_backward(x, k, gy):
     valid = (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
     src = (sy + h * np.arange(c)[:, None, None]) * w + sx
     return _scatter_add(src[valid], gy[valid], x.size).reshape(x.shape)
-
-
-def directional_pool(x):
-    """Per-direction means: q_h [C,H,1] over width, q_w [C,1,W] over height."""
-    x = _as_f64(x)
-    _check_map("directional_pool", x)
-    q_h = x.mean(axis=2, keepdims=True)
-    q_w = x.mean(axis=1, keepdims=True)
-    return q_h, q_w
-
-
-def directional_pool_backward(x, g_qh, g_qw):
-    x = _as_f64(x)
-    c, h, w = x.shape
-    return (np.broadcast_to(_as_f64(g_qh) / w, x.shape)
-            + np.broadcast_to(_as_f64(g_qw) / h, x.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -390,38 +348,6 @@ def hard_sigmoid_deriv(x):
     """d hard_sigmoid / dx: 0.5 inside (-1, 1), 0 outside and at the kinks."""
     x = _as_f64(x)
     return np.where((x > -1.0) & (x < 1.0), 0.5, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# batchnorm (inference statistics)
-# ---------------------------------------------------------------------------
-
-def batchnorm_inference(x, scale, shift, mean, var, eps=1e-5):
-    """(x - mean) / sqrt(var + eps) * scale + shift, all per channel."""
-    x = _as_f64(x)
-    scale, shift, mean, var = map(_as_f64, (scale, shift, mean, var))
-    c = x.shape[0]
-    for name, v in (("scale", scale), ("shift", shift), ("mean", mean), ("var", var)):
-        if v.shape != (c,):
-            raise ShapeError(f"batchnorm {name} has {v.size} entries, expected {c}")
-    if (var < 0).any():
-        raise ValueError("batchnorm got negative variance")
-    inv = 1.0 / np.sqrt(var + eps)
-    return (x - mean[:, None, None]) * (scale * inv)[:, None, None] \
-        + shift[:, None, None]
-
-
-def batchnorm_inference_backward(x, scale, shift, mean, var, gy, eps=1e-5):
-    """Gradients w.r.t. x, scale, shift (statistics held constant)."""
-    x = _as_f64(x)
-    scale, mean, var = map(_as_f64, (scale, mean, var))
-    gy = _as_f64(gy)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[:, None, None]) * inv[:, None, None]
-    gx = gy * (scale * inv)[:, None, None]
-    gscale = (gy * xhat).sum(axis=(1, 2))
-    gshift = gy.sum(axis=(1, 2))
-    return gx, gscale, gshift
 
 
 # ---------------------------------------------------------------------------

@@ -283,19 +283,35 @@ def assign_targets(labels, anchors_per_level, strides, grid_hw):
     return assigned
 
 
+# the closed domain of a label's cx, cy, w and h: rows of +-1e8 keep the
+# loss and its gradients finite, while cx = 1e150 or w = 1e308 overflows
+# the DIoU
+LABEL_FIELD_DOMAIN = (-1e8, 1e8)
+
+
+def check_box_fields(labels):
+    """Names the first of the label rows [N, >= 4] with a cx, cy, w or h
+    that is not finite or lies outside LABEL_FIELD_DOMAIN."""
+    lo, hi = LABEL_FIELD_DOMAIN
+    for k, row in enumerate(labels[:, :4].tolist()):
+        for name, v in zip(("cx", "cy", "w", "h"), row):
+            if not math.isfinite(v):
+                raise ValueError(f"label row {k}: {name} {v} is not finite")
+            if not lo <= v <= hi:
+                raise ValueError(f"label row {k}: {name} {v} outside "
+                                 f"[{lo:g}, {hi:g}]")
+
+
 def _check_labels(labels, num_classes):
-    """Labels as float64 rows [N, 6]; refuses a wrong shape, and names the
-    first row with a non-finite box field, a w or h not > 0, or a class id
-    that is not an integer in [0, num_classes)."""
+    """Labels as float64 rows [N, 6]; refuses a wrong shape, then names the
+    first row with a box field check_box_fields refuses, then the first
+    with a w or h not > 0 or a class id not an integer in [0, num_classes)."""
     labels = np.asarray(labels, dtype=np.float64)
     if labels.ndim != 2 or labels.shape[1] != 6:
         raise ValueError(f"labels must be an [N, 6] array, got shape "
                          f"{labels.shape}")
-    for k, (cx, cy, w, h, c, _) in enumerate(labels.tolist()):
-        # field by field: cx + cy overflows for two finite 1e308s
-        for name, v in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
-            if not math.isfinite(v):
-                raise ValueError(f"label row {k}: {name} {v} is not finite")
+    check_box_fields(labels)
+    for k, (_, _, w, h, c, _) in enumerate(labels.tolist()):
         for name, v in (("w", w), ("h", h)):
             if not v > 0:
                 raise ValueError(f"label row {k}: {name} {v} is not > 0")

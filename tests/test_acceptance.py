@@ -80,7 +80,9 @@ class TestCriterion2OracleEquivalences:
         layer = ScaleAttention()
         layer.weight.value = rng.uniform(-0.5, 0.5, (2, 2))
         layer.bias.value = rng.uniform(-0.5, 0.5, 2)
-        gates = layer.gates(x)
+        base, ctx = layer.forward(x)
+        # base = g0 x and ctx = (g0 x + g1 x) / 2, read back per element
+        gates = (base / x, 2 * ctx / x - base / x)
         for l in range(2):
             z = layer.bias.value[l]
             # each gate mixes both inputs of the linear map, which are

@@ -30,7 +30,7 @@ class TestScaleAttention:
         base, ctx = layer.forward(x)
         assert_allclose(base, x)
         assert_allclose(ctx, x)
-        assert_allclose(layer.gates(x), 1.0)
+        assert_allclose(layer._cache[3], 1.0)
 
     def test_matches_naive_loop_on_2x12x6(self):
         rng = np.random.default_rng(5)
@@ -60,7 +60,8 @@ class TestScaleAttention:
         layer.weight.value = rng.standard_normal((2, 2)) * 5
         layer.bias.value = rng.standard_normal(2) * 5
         for _ in range(10):
-            g = layer.gates(rng.standard_normal((4, 2, 2)))
+            layer.forward(rng.standard_normal((4, 2, 2)))
+            g = layer._cache[3]
             assert (g >= 0.0).all() and (g <= 1.0).all()
 
 

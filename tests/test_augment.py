@@ -2,6 +2,7 @@
 bookkeeping, and seeded determinism."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -201,23 +202,33 @@ class TestLabelRows:
         for img, rows in zip(imgs, before):
             assert img.boxes.tobytes() == rows.tobytes()
 
-    def test_clip_meets_bounds_as_python_max_and_min(self):
-        # a NaN corner becomes the bound, as with Python's max and min;
-        # inf - inf and inf * 0 raise no warning; a -0.0 centre of zero
-        # width is dropped
-        rows = [label(-0.0, 8.0, 0.0, 6.0, 0), label(math.nan, 8.0, 4.0, 4.0, 1),
-                label(8.0, 8.0, math.nan, 4.0, 0),
-                label(math.inf, 8.0, math.inf, 4.0, 1),
-                label(-math.inf, 8.0, 4.0, 0.0, 0)]
-        imgs = [toy_image(s, size=16, boxes=rows) for s in range(4)]
+    def test_mosaic_refuses_non_finite_label_fields(self):
+        # refused where labels enter, with the loss's text and the row's
+        # index in its image: the clip once turned each of these rows into
+        # a box spanning its patch
         tf = MosaicTransforms((16.0, 16.0), (1.0,) * 4, (False,) * 4,
                               ((0.0, 0.0, 0.0),) * 4)
+        ok = [label(-0.0, 8.0, 0.0, 6.0, 0), label(8.0, 8.0, 4.0, 4.0, 1)]
+        for bad, why in (
+                (label(math.nan, 8.0, 4.0, 4.0, 1), "cx nan is not finite"),
+                (label(8.0, 8.0, math.nan, 4.0, 0), "w nan is not finite"),
+                (label(math.inf, 8.0, math.inf, 4.0, 1),
+                 "cx inf is not finite"),
+                (label(8.0, -math.inf, 4.0, 0.0, 0), "cy -inf is not finite"),
+                (label(8.0, 8.0, 4.0, 1e150, 0),
+                 "h 1e+150 outside [-1e+08, 1e+08]")):
+            imgs = [toy_image(s, size=16, boxes=ok) for s in range(4)]
+            imgs[3] = toy_image(3, size=16, boxes=ok + [bad])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                text = re.escape(f"label row 2: {why}")
+                with pytest.raises(ValueError, match=f"^{text}$"):
+                    mosaic_apply(imgs, 32, tf)
+        # the finite rows pass: a -0.0 centre of zero width is dropped
+        imgs = [toy_image(s, size=16, boxes=ok) for s in range(4)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = mosaic_apply(imgs, 32, tf)
-        # per quadrant, the rows with a NaN or infinite corner span the
-        # canvas along x, then the quadrant's patch
-        want = np.array([[cx, cy, 16.0, 4.0, c, 1.0]
-                         for cy in (8.0, 24.0) for cx in (8.0, 24.0)
-                         for c in (1, 0, 1)])
+        want = np.array([[cx, cy, 4.0, 4.0, 1, 1.0]
+                         for cy in (8.0, 24.0) for cx in (8.0, 24.0)])
         assert out.boxes.tobytes() == want.tobytes()

@@ -6,28 +6,44 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tridet import ops
-from tridet.coordatt import CoordAttention, coord_apply
+from tridet.coordatt import CoordAttention
 from tridet.layers import init_params
+
+
+def pooled(x):
+    """The directional means (q_h, q_w) of x as CoordAttention.forward
+    hands them to generate."""
+    ca = CoordAttention(x.shape[0], 1)
+    seen = []
+    ca.generate = lambda *q: seen.append(q) or CoordAttention.generate(ca, *q)
+    ca.forward(x)
+    return seen[0]
+
+
+def gates(ca, x):
+    """(g_h, g_w) that ca applies to x."""
+    ca.forward(x)
+    return ca._cache[1], ca._cache[2]
 
 
 class TestEmbed:
     def test_constant_input(self):
         x = np.full((2, 3, 4), 0.7)
-        q_h, q_w = ops.directional_pool(x)
+        q_h, q_w = pooled(x)
         assert_allclose(q_h, 0.7)
         assert_allclose(q_w, 0.7)
 
     def test_row_dependent_input_gives_constant_qw(self):
         rows = np.arange(4.0)[None, :, None]
         x = np.broadcast_to(rows, (2, 4, 5)).copy()
-        q_h, q_w = ops.directional_pool(x)
+        q_h, q_w = pooled(x)
         assert_allclose(q_w, np.broadcast_to(q_w[..., :1], q_w.shape))
         assert_allclose(q_h[0, :, 0], np.arange(4.0))
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 4, 5))
-        q_h, q_w = ops.directional_pool(x)
+        q_h, q_w = pooled(x)
         for c in range(3):
             for i in range(4):
                 assert_allclose(q_h[c, i, 0], x[c, i, :].mean())
@@ -41,7 +57,7 @@ class TestGenerate:
         for p in ca.params():
             p.value[:] = 0.0
         x = np.random.default_rng(1).standard_normal((8, 3, 4))
-        g_h, g_w, _ = ca.generate(*ops.directional_pool(x))
+        g_h, g_w = gates(ca, x)
         assert_allclose(g_h, 0.5)
         assert_allclose(g_w, 0.5)
 
@@ -49,7 +65,7 @@ class TestGenerate:
         rng = np.random.default_rng(2)
         ca = init_params(CoordAttention(8, 4), rng)
         x = rng.standard_normal((8, 4, 4))
-        g_h, g_w, _ = ca.generate(*ops.directional_pool(x))
+        g_h, g_w = gates(ca, x)
         for g in (g_h, g_w):
             assert (g > 0.0).all() and (g < 1.0).all()
 
@@ -61,16 +77,16 @@ class TestGenerate:
         ca.squeeze_bn.mean.value = rng.uniform(-0.5, 0.5, 2)
         ca.squeeze_bn.var.value = rng.uniform(0.5, 2.0, 2)
         x = rng.standard_normal((32, 4, 4))
-        g_h, g_w, _ = ca.generate(*ops.directional_pool(x))
+        g_h, g_w = gates(ca, x)
         # independent reference built from tensor-core ops only
         q_h = x.mean(axis=2, keepdims=True)
         q_w = x.mean(axis=1, keepdims=True)
         stacked = np.concatenate([q_h, q_w.transpose(0, 2, 1)], axis=1)
         f = ops.conv2d(stacked, ca.squeeze.weight.value, ca.squeeze.bias.value)
-        f = ops.batchnorm_inference(f, ca.squeeze_bn.scale.value,
-                                    ca.squeeze_bn.shift.value,
-                                    ca.squeeze_bn.mean.value,
-                                    ca.squeeze_bn.var.value)
+        bn = ca.squeeze_bn
+        f = (f - bn.mean.value[:, None, None]) \
+            / np.sqrt(bn.var.value[:, None, None] + 1e-5) \
+            * bn.scale.value[:, None, None] + bn.shift.value[:, None, None]
         f = np.maximum(f, 0.0)
         f_h, f_w = f[:, :4], f[:, 4:]
         zh = ops.conv2d(f_h, ca.expand_h.weight.value, ca.expand_h.bias.value)
@@ -84,17 +100,24 @@ class TestGenerate:
             CoordAttention(10, 4)
 
 
+def with_gates(g_h, g_w):
+    """A CoordAttention whose generate returns the given gates."""
+    ca = CoordAttention(g_h.shape[0], 1)
+    ca.generate = lambda q_h, q_w: (g_h, g_w, None)
+    return ca
+
+
 class TestApply:
     def test_unit_gates_identity(self):
         x = np.random.default_rng(4).standard_normal((3, 4, 4))
         ones_h = np.ones((3, 4, 1))
         ones_w = np.ones((3, 1, 4))
-        assert_allclose(coord_apply(x, ones_h, ones_w), x)
+        assert_allclose(with_gates(ones_h, ones_w).forward(x), x)
 
     def test_half_gates_quarter(self):
         x = np.random.default_rng(5).standard_normal((3, 4, 4))
-        y = coord_apply(x, np.full((3, 4, 1), 0.5), np.full((3, 1, 4), 0.5))
-        assert_allclose(y, 0.25 * x)
+        ca = with_gates(np.full((3, 4, 1), 0.5), np.full((3, 1, 4), 0.5))
+        assert_allclose(ca.forward(x), 0.25 * x)
 
     def test_strict_contraction_where_nonzero(self):
         rng = np.random.default_rng(6)

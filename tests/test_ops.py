@@ -1,5 +1,6 @@
-"""Tensor-core kernels: values against naive-loop oracles, gradients
-against central differences."""
+"""Tensor-core kernels, and the layers that do their own arithmetic
+(Linear, LeakyReLU, BatchNorm2d, CoordAttention's pooling): values against
+naive-loop oracles, gradients against central differences."""
 
 import re
 import warnings
@@ -10,7 +11,8 @@ from numpy.testing import assert_allclose
 
 from tridet import ops
 from tridet.attention import TaskAttention
-from tridet.layers import LeakyReLU
+from tridet.coordatt import CoordAttention
+from tridet.layers import BatchNorm2d, LeakyReLU, Linear
 
 
 def naive_conv2d(x, w, b, stride=1, padding=0):
@@ -144,8 +146,7 @@ def test_bad_stride_or_padding_rejected_by_name(kernel, arg, value):
         call()
 
 
-@pytest.mark.parametrize("kernel", ["conv2d", "conv2d_backward", "max_pool2d",
-                                    "directional_pool"])
+@pytest.mark.parametrize("kernel", ["conv2d", "conv2d_backward", "max_pool2d"])
 def test_batched_input_rejected_naming_rank(kernel):
     x = np.zeros((1, 3, 5, 5))
     w = np.zeros((2, 3, 3, 3))
@@ -154,20 +155,27 @@ def test_batched_input_rejected_naming_rank(kernel):
         "conv2d_backward": lambda: ops.conv2d_backward(
             x, w, np.zeros((2, 5, 5)), padding=1),
         "max_pool2d": lambda: ops.max_pool2d(x, 3),
-        "directional_pool": lambda: ops.directional_pool(x),
     }[kernel]
     with pytest.raises(ops.ShapeError, match="rank-3 .* got rank 4"):
         call()
 
 
+def linear(w, b):
+    layer = Linear(*w.shape[::-1])
+    layer.weight.value, layer.bias.value = w, b
+    return layer
+
+
 class TestFullyConnected:
+    """The Linear layer, y = W x + b."""
+
     def test_identity(self):
         x = np.arange(5.0)
-        assert_allclose(ops.fully_connected(x, np.eye(5), np.zeros(5)), x)
+        assert_allclose(linear(np.eye(5), np.zeros(5)).forward(x), x)
 
     def test_zero_matrix_gives_bias(self):
         b = np.array([1.0, -2.0])
-        assert_allclose(ops.fully_connected(np.ones(3), np.zeros((2, 3)), b), b)
+        assert_allclose(linear(np.zeros((2, 3)), b).forward(np.ones(3)), b)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(4)
@@ -175,26 +183,16 @@ class TestFullyConnected:
         w = rng.standard_normal((4, 8))
         b = rng.standard_normal(4)
         r = rng.standard_normal(4)
-        gx, gw, gb = ops.fully_connected_backward(x, w, r)
+        layer = linear(w, b)
+        layer.forward(x)
+        gx = layer.backward(r)
         fd = ops.finite_diff_grad(
-            lambda v: (ops.fully_connected(v, w, b) * r).sum(), x)
+            lambda v: (linear(w, b).forward(v) * r).sum(), x)
         assert ops.relative_error(gx, fd) < 1e-6
         fdw = ops.finite_diff_grad(
-            lambda v: (ops.fully_connected(x, v, b) * r).sum(), w)
-        assert ops.relative_error(gw, fdw) < 1e-6
-
-    @pytest.mark.parametrize("kernel", ["fully_connected",
-                                        "fully_connected_backward"])
-    def test_batch_input_rejected_by_rank(self, kernel):
-        x, w = np.ones((2, 3)), np.ones((4, 3))
-        call = {
-            "fully_connected": lambda: ops.fully_connected(x, w, np.zeros(4)),
-            "fully_connected_backward":
-                lambda: ops.fully_connected_backward(x, w, np.ones((2, 4))),
-        }[kernel]
-        with pytest.raises(ops.ShapeError,
-                           match=f"^{kernel} expects a rank-1 vector, got rank 2$"):
-            call()
+            lambda v: (linear(v, b).forward(x) * r).sum(), w)
+        assert ops.relative_error(layer.weight.grad, fdw) < 1e-6
+        assert (layer.bias.grad == r).all()
 
 
 class TestMaxPool:
@@ -232,23 +230,33 @@ class TestMaxPool:
             ops.max_pool2d_backward(np.zeros((4, 5)), 3, np.zeros((4, 5)))
 
 
+def directional_pool(x):
+    """The two means CoordAttention pools x into, as they reach generate."""
+    ca = CoordAttention(x.shape[0], 1)
+    seen = []
+    ca.generate = lambda *q: seen.append(q) or CoordAttention.generate(ca, *q)
+    ca.forward(x)
+    return seen[0]
+
+
 class TestPooling:
     def test_directional_pool_hand_values(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        q_h, q_w = ops.directional_pool(x)
+        q_h, q_w = directional_pool(x)
         assert_allclose(q_h[0, :, 0], [1.5, 3.5])
         assert_allclose(q_w[0, 0, :], [2.0, 3.0])
 
     def test_directional_pool_constant(self):
         x = np.full((3, 4, 5), 2.0)
-        q_h, q_w = ops.directional_pool(x)
+        q_h, q_w = directional_pool(x)
         assert_allclose(q_h, 2.0)
         assert_allclose(q_w, 2.0)
 
     def test_directional_pool_matches_naive_loop(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 4, 5))
-        q_h, q_w = ops.directional_pool(x)
+        q_h, q_w = directional_pool(x)
+        assert q_h.shape == (3, 4, 1) and q_w.shape == (3, 1, 5)
         for c in range(3):
             for i in range(4):
                 assert_allclose(q_h[c, i, 0],
@@ -417,19 +425,26 @@ class TestActivations:
         assert (np.diff(sg) >= 0).all()
 
 
+def batchnorm(scale, shift, mean, var):
+    layer = BatchNorm2d(len(scale))
+    for p, v in zip((layer.scale, layer.shift, layer.mean, layer.var),
+                    (scale, shift, mean, var)):
+        p.value = np.asarray(v, dtype=np.float64)
+    return layer
+
+
 class TestBatchNorm:
     def test_identity_statistics(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 2, 2))
-        y = ops.batchnorm_inference(x, np.ones(3), np.zeros(3),
-                                    np.zeros(3), np.ones(3))
+        y = batchnorm(np.ones(3), np.zeros(3), np.zeros(3),
+                      np.ones(3)).forward(x)
         assert_allclose(y, x, rtol=1e-5, atol=1e-5)
 
     def test_zero_scale_gives_shift(self):
         x = np.random.default_rng(13).standard_normal((2, 3, 3))
         shift = np.array([0.5, -0.5])
-        y = ops.batchnorm_inference(x, np.zeros(2), shift,
-                                    np.zeros(2), np.ones(2))
+        y = batchnorm(np.zeros(2), shift, np.zeros(2), np.ones(2)).forward(x)
         assert_allclose(y[0], 0.5)
         assert_allclose(y[1], -0.5)
 
@@ -439,7 +454,7 @@ class TestBatchNorm:
         scale, shift, mean = (rng.standard_normal(3) for _ in range(3))
         var = rng.uniform(0.5, 2.0, 3)
         for n in range(2):
-            y = ops.batchnorm_inference(x[n], scale, shift, mean, var)
+            y = batchnorm(scale, shift, mean, var).forward(x[n])
             for c in range(3):
                 for i in range(2):
                     for j in range(2):
@@ -448,9 +463,10 @@ class TestBatchNorm:
                         assert_allclose(y[c, i, j], ref)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            ops.batchnorm_inference(np.zeros((1, 2, 2)), np.ones(1),
-                                    np.zeros(1), np.zeros(1), np.array([-1.0]))
+        layer = batchnorm(np.ones(1), np.zeros(1), np.zeros(1), [-1.0])
+        with pytest.raises(ValueError,
+                           match="^batchnorm got negative variance$"):
+            layer.forward(np.zeros((1, 2, 2)))
 
 
 class TestFiniteDiff:

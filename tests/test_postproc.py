@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tridet import ops
-from tridet.config import ModelConfig
+from tridet.config import STRIDES, ModelConfig
 from tridet.model import build_model
-from tridet.postproc import (NMS_TILE, P_CLAMP, _check_labels,
-                             assign_targets, box_planes, clamp_stats,
-                             decode_predictions, detection_loss, diou,
-                             diou_nms, diou_planes, focal_loss,
+from tridet.postproc import (LABEL_FIELD_DOMAIN, NMS_TILE, P_CLAMP,
+                             _check_labels, assign_targets, box_planes,
+                             clamp_stats, decode_predictions, detection_loss,
+                             diou, diou_nms, diou_planes, focal_loss,
                              focal_loss_grad_p, format_detection,
                              label_smooth)
 from tridet.train import train_toy
@@ -760,10 +760,49 @@ class TestDetectionLoss:
                 detection_loss(raws, targets, self.CFG)
 
     def test_box_fields_checked_one_by_one(self):
-        # cx + cy overflows to inf for two finite centres; a check of the
-        # sum would refuse this row
-        assert np.isfinite(_check_labels(
-            labels((Box(1e308, 1e308, 8.0, 8.0), 0)), 2)).all()
+        # cx + cy overflows to inf for two finite centres: each field is
+        # refused, and named, on its own
+        for box, name in ((Box(1e308, 1e308, 8.0, 8.0), "cx"),
+                          (Box(8.0, 1e308, 8.0, 8.0), "cy")):
+            with pytest.raises(ValueError, match=rf"^label row 0: {name} "
+                               r"1e\+308 outside \[-1e\+08, 1e\+08\]$"):
+                _check_labels(labels((box, 0)), 2)
+
+    @staticmethod
+    def _default_loss(row):
+        """detection_loss of one label row on the default config at 64 x 64,
+        with zero raws."""
+        cfg = ModelConfig.default()
+        raws = [np.zeros((len(a) * (5 + cfg.num_classes), 64 // s, 64 // s))
+                for a, s in zip(cfg.anchors, STRIDES)]
+        return detection_loss(raws, np.array([[*row, 0, 1.0]]), cfg)
+
+    @pytest.mark.parametrize("row", [
+        (1e8, 1e8, 1e8, 1e8), (-1e8, -1e8, 1e8, 1e8),
+        (1e8, -1e8, 5e-324, 1e8), (-1e8, 1e8, 1e8, 5e-324)])
+    def test_box_fields_at_the_domain_ends_stay_finite(self, row):
+        # cx = cy = 1e308 once gave a NaN total, and cx = 1e150 or
+        # w = 1e308 non-finite gradients with an overflow warning
+        assert LABEL_FIELD_DOMAIN == (-1e8, 1e8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total, _, grads = self._default_loss(row)
+        assert math.isfinite(total)
+        assert all(np.isfinite(g).all() for g in grads)
+
+    @pytest.mark.parametrize("field, value", [
+        (0, 1e150), (0, math.nextafter(-1e8, -math.inf)), (1, 1e308),
+        (1, -1e308), (2, 1e308), (2, math.nextafter(1e8, math.inf)),
+        (3, 1e9)])
+    def test_box_field_outside_the_domain_rejected(self, field, value):
+        row = [10.0, 12.0, 8.0, 8.0]
+        row[field] = value
+        name = ("cx", "cy", "w", "h")[field]
+        why = f"label row 0: {name} {value} outside [-1e+08, 1e+08]"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+                self._default_loss(row)
 
     def test_integral_float_class_ids_accepted(self):
         # 1.0 and -0.0 are the integers 1 and 0
