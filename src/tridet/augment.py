@@ -106,11 +106,14 @@ def sample_mosaic_transforms(rng, out_size, scale_range=(0.5, 1.5),
 def mosaic_apply(imgs, out_size, tf: MosaicTransforms) -> LabeledImage:
     """Deterministic four-image mosaic given pinned transforms.  Refuses,
     as the loss does, an image's label row with a cx, cy, w or h that is
-    not finite or outside LABEL_FIELD_DOMAIN, counting rows per image."""
+    not finite or outside LABEL_FIELD_DOMAIN, as `image Q: label row K: …`."""
     if len(imgs) != 4:
         raise ValueError(f"mosaic needs exactly 4 images, got {len(imgs)}")
-    for img in imgs:
-        check_box_fields(img.boxes)
+    for q, img in enumerate(imgs):
+        try:
+            check_box_fields(img.boxes)
+        except ValueError as e:
+            raise ValueError(f"image {q}: {e}") from None
     s = out_size
     xc = int(round(tf.center[0]))
     yc = int(round(tf.center[1]))

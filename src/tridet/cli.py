@@ -29,11 +29,16 @@ def cmd_run(args):
     cfg = _load_cfg(args.config)
     model = build_model(cfg)
     load_weights(model, args.weights)
-    rows = run_inference(model, cfg, read_ppm(args.image))
+    image = read_ppm(args.image)
+    rows = run_inference(model, cfg, image)
     sys.stdout.write(format_detection(args.image, rows))
     if args.dump_features:
+        neck = model.neck
+        c3, c4, c5 = model.backbone.forward(image)
+        maps = [neck.ca3.forward(c3), neck.ca4.forward(c4),
+                neck.ca5.forward(c5), *neck.forward(c3, c4, c5)]
         os.makedirs(args.dump_features, exist_ok=True)
-        for name, fmap in model._feature_taps.items():
+        for name, fmap in zip(("ca3", "ca4", "ca5", "p3", "p4", "p5"), maps):
             write_pgm(os.path.join(args.dump_features, f"{name}.pgm"),
                       fmap.mean(axis=0))
     return 0

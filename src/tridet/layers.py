@@ -7,8 +7,8 @@ their own backward passes by hand.  A layer's Param attributes are its
 parameters and its Layer attributes its children: one pre-order walk of
 those attributes, Layer.named_modules(), gives every layer its dotted
 path, and everything that counts, checkpoints or steps parameters uses it.
-Construction draws no random numbers: weights start at zero until
-init_params(layer, rng) draws them, in one walk of that tree.
+Construction draws no random numbers, Model's included: weights start at
+zero until init_params(layer, rng) draws them, in one walk of that tree.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Model assembly per variant, weight persistence, and the full
-image -> raw-predictions forward/backward pair."""
+image -> raw-predictions forward/backward pair.  A `Model` holds only its
+children and is built with zero weights; `build_model` draws them."""
 
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ class WeightFileError(ValueError):
 class Model(Layer):
     def __init__(self, cfg: ModelConfig):
         cfg.validate()
-        self.cfg = cfg
         self.backbone = ToyBackbone(cfg.widths, depthwise=cfg.depthwise)
         self.neck = Neck(cfg.widths, cfg.ca_ratio, cfg.csp_enabled,
                          cfg.depthwise)
@@ -34,21 +34,11 @@ class Model(Layer):
                     cfg.lambda_a, cfg.lambda_b, cfg.depthwise)
             for c in cfg.head_channels
         ]
-        self._feature_taps = None
-        init_params(self, np.random.default_rng(cfg.seed))
 
     def forward(self, image):
         """image [3, H, W] -> list of raw prediction maps, one per level."""
-        bad = ~np.isfinite(image)
-        if bad.any():
-            first = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise ValueError(f"input image has {int(bad.sum())} non-finite "
-                             f"pixel value(s), the first at index {first}")
         pyr = self.neck.forward(*self.backbone.forward(image))
-        raws = [head.forward(p) for head, p in zip(self.heads, pyr)]
-        self._feature_taps = dict(zip(("ca3", "ca4", "ca5", "p3", "p4", "p5"),
-                                      self.neck._taps + pyr))
-        return raws
+        return [head.forward(p) for head, p in zip(self.heads, pyr)]
 
     def backward(self, graws):
         gps = [head.backward(g) for head, g in zip(self.heads, graws)]
@@ -64,7 +54,7 @@ class Model(Layer):
 
 
 def build_model(cfg: ModelConfig) -> Model:
-    return Model(cfg)
+    return init_params(Model(cfg), np.random.default_rng(cfg.seed))
 
 
 def save_weights(model: Model, path):

@@ -28,6 +28,11 @@ class ToyBackbone(Layer):
 
     def forward(self, image):
         """image [3, H, W] -> the (C3, C4, C5) maps at strides 8/16/32."""
+        bad = ~np.isfinite(image)
+        if bad.any():
+            first = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"input image has {int(bad.sum())} non-finite "
+                             f"pixel value(s), the first at index {first}")
         if image.ndim != 3 or image.shape[0] != 3:
             raise ops.ShapeError(f"backbone expects a 3xHxW image, got {image.shape}")
         h, w = image.shape[1:]
@@ -200,7 +205,6 @@ class Neck(Layer):
         p3 = self.fuse3.forward(np.concatenate([self.lat3.forward(a3), t3]))
         p4 = self.fuse4b.forward(np.concatenate([self.down3.forward(p3), m4]))
         p5 = self.fuse5b.forward(np.concatenate([self.down4.forward(p4), n5]))
-        self._taps = (a3, a4, a5)
         return p3, p4, p5
 
     def backward(self, gp3, gp4, gp5):

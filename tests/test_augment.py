@@ -203,9 +203,9 @@ class TestLabelRows:
             assert img.boxes.tobytes() == rows.tobytes()
 
     def test_mosaic_refuses_non_finite_label_fields(self):
-        # refused where labels enter, with the loss's text and the row's
-        # index in its image: the clip once turned each of these rows into
-        # a box spanning its patch
+        # refused where labels enter, with the loss's text after the image's
+        # index and the row's index in its image: the clip once turned each
+        # of these rows into a box spanning its patch
         tf = MosaicTransforms((16.0, 16.0), (1.0,) * 4, (False,) * 4,
                               ((0.0, 0.0, 0.0),) * 4)
         ok = [label(-0.0, 8.0, 0.0, 6.0, 0), label(8.0, 8.0, 4.0, 4.0, 1)]
@@ -221,9 +221,16 @@ class TestLabelRows:
             imgs[3] = toy_image(3, size=16, boxes=ok + [bad])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                text = re.escape(f"label row 2: {why}")
+                text = re.escape(f"image 3: label row 2: {why}")
                 with pytest.raises(ValueError, match=f"^{text}$"):
                     mosaic_apply(imgs, 32, tf)
+        # a bad first row of image 0 is named ahead of a bad row in image 2
+        imgs = [toy_image(s, size=16, boxes=ok) for s in range(4)]
+        imgs[0] = toy_image(0, size=16, boxes=[label(8.0, math.nan, 4.0, 4.0, 0)] + ok)
+        imgs[2] = toy_image(2, size=16, boxes=ok + [label(math.inf, 8.0, 4.0, 4.0, 0)])
+        with pytest.raises(ValueError,
+                           match=r"^image 0: label row 0: cy nan is not finite$"):
+            mosaic_apply(imgs, 32, tf)
         # the finite rows pass: a -0.0 centre of zero width is dropped
         imgs = [toy_image(s, size=16, boxes=ok) for s in range(4)]
         with warnings.catch_warnings():

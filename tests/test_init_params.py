@@ -1,6 +1,6 @@
-"""Initialization: constructors allocate zero weights, and one walk,
-`init_params`, draws every Conv2d and Linear weight that is not flagged
-zero_init."""
+"""Initialization: constructors allocate zero weights, `Model`'s included,
+and one walk, `init_params`, draws every Conv2d and Linear weight that is
+not flagged zero_init."""
 
 import dataclasses
 import hashlib
@@ -11,7 +11,7 @@ import pytest
 from tridet.attention import ScaleAttention, TDAHead
 from tridet.config import ModelConfig
 from tridet.layers import BatchNorm2d, Conv2d, Linear, Param, init_params
-from tridet.model import build_model
+from tridet.model import Model, build_model
 from tridet.neck import Neck, ToyBackbone
 
 # sha256 over (name, float64 little-endian bytes) of every named_params()
@@ -47,6 +47,7 @@ TREES = {
     "neck-csp-dw": lambda: Neck((16, 32, 64), 4, csp_enabled=True,
                                 depthwise=True),
     "backbone-dw": lambda: ToyBackbone((16, 32, 64), depthwise=True),
+    "model": lambda: Model(ModelConfig.default()),
 }
 # parameters the walk leaves as constructed, by the last parts of their path
 KEPT_SUFFIXES = (".bias", "offset_pred.weight", "mod_pred.weight",

@@ -1,6 +1,8 @@
 """Model assembly, weight persistence, the training smoke loop, and the
 command-line surface."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -15,6 +17,31 @@ from tridet.model import (WeightFileError, build_model, load_weights,
                           save_weights)
 from tridet.ppm import write_ppm
 from tridet.train import run_inference, synthetic_scene, train_toy
+
+
+# sha256 of what `run --dump-features` prints and of each map it writes, for
+# a variant's default config with default-seed weights on a seeded 64x64
+# image
+DUMP_DIGESTS = {
+    "full": {
+        "stdout": "9fd29f85814704ffadfe52e42424c15e113b125e1b2a79f7f652a8ef4fc3fc4a",
+        "ca3.pgm": "bf8ec7d8436ed0c9a9405825efe74ae79be3f015a6f60c40294e6994bf6f36b2",
+        "ca4.pgm": "166cc7b0b9981b004475d18e39f7a2171d24634d5ae8532a56db0f10a6744b4d",
+        "ca5.pgm": "e9ede443a730cb16dd9b20d8d815ad218bbfac852e7332af12fa6a66a770b3b5",
+        "p3.pgm": "dd7c6abff9634122d065f1746a1254859bee9f5cb1f17947d9a501d9b620d7cb",
+        "p4.pgm": "ee4b15b6f865fcb45d9fb0c406c1ab4714b36b7d0a6c35144ad786da36278149",
+        "p5.pgm": "48754107c2c7db7d2027807c4444e770c457588c5f35fa721025c087e7547c32",
+    },
+    "nano": {
+        "stdout": "a5caf42e8b0a8dcb057125789133ad8ea7990e483b211ce2ec0a0bde174c0f6a",
+        "ca3.pgm": "ecd5448c86905462d5ec378ecc4603d9ae0ef75de0d2c08a7249827bedfffb70",
+        "ca4.pgm": "38ff4f64b6fe6bb33f44f8f22bf0c5b84ff5f9fa10fe6f3390e32b186852476e",
+        "ca5.pgm": "dce61f1e9c0afac20d273ebf0f537d05bd6965cf86f16501e8f28a82f41796ec",
+        "p3.pgm": "efc25fdaab9172d56d5c0c63cd3fd0821b527213cb5ce51f3e53215acb553421",
+        "p4.pgm": "8bdd33b84afc37879e6adfd201dfcc2495584154d9fba520aa60c5585fc092f2",
+        "p5.pgm": "754da76c2ba9e471f05748aa7479cad08e5d82f56e3512d451c3046aa2300daf",
+    },
+}
 
 
 def toy_cfg(variant="full", **kw):
@@ -340,6 +367,22 @@ class TestCli:
                            "ca5.pgm": b"2 2", "p5.pgm": b"2 2"}
         capsys.readouterr()
 
+    @pytest.mark.parametrize("variant", list(DUMP_DIGESTS))
+    def test_run_dump_features_digests(self, tmp_path, capsys, monkeypatch,
+                                       variant):
+        # relative paths: the image path is part of every printed line
+        monkeypatch.chdir(tmp_path)
+        cfg = ModelConfig.default(variant)
+        save_weights(build_model(cfg), "w.bin")
+        write_ppm("img.ppm", np.random.default_rng(0).random((3, 64, 64)))
+        assert cli.main(["run", self._write_cfg(tmp_path, cfg), "w.bin",
+                         "img.ppm", "--dump-features", "feats"]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "feats").iterdir()}
+        got["stdout"] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+        assert got == DUMP_DIGESTS[variant]
+
     def test_run_missing_file_one_line_error(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, toy_cfg())
         rc = cli.main(["run", cfg_path, str(tmp_path / "nope.bin"),
@@ -356,9 +399,12 @@ class TestCli:
         img[1, 5, 7] = np.nan
         msg = ("input image has 1 non-finite pixel value(s), "
                "the first at index (1, 5, 7)")
-        with pytest.raises(ValueError) as exc:
-            run_inference(build_model(cfg), cfg, img)
-        assert str(exc.value) == msg
+        model = build_model(cfg)
+        for call in (lambda: run_inference(model, cfg, img),
+                     lambda: model.backbone.forward(img)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == msg
         # a P6 file cannot hold NaN, so the reader is replaced
         monkeypatch.setattr(cli, "read_ppm", lambda path: img)
         rc = cli.main(["run", self._write_cfg(tmp_path, cfg),
