@@ -43,6 +43,14 @@ DUMP_DIGESTS = {
     },
 }
 
+# sha256 of what `run` prints for a variant's default config with
+# default-seed weights on a seeded 256x256 image, where all three stride-2
+# backbone convolutions take conv2d's per-tap path
+RUN_256_DIGESTS = {
+    "full": "3cf453466c6d4e5343ab46bec77e3d95331480560b4d2c783c182bc5c97131d6",
+    "nano": "e964adbbc4f4e364baf3eea9bfa5c03d816a6904a101e952da8bbb149ba58cde",
+}
+
 
 def toy_cfg(variant="full", **kw):
     cfg = ModelConfig.default(variant)
@@ -382,6 +390,47 @@ class TestCli:
         got["stdout"] = hashlib.sha256(
             capsys.readouterr().out.encode()).hexdigest()
         assert got == DUMP_DIGESTS[variant]
+
+    @pytest.mark.parametrize("variant", list(RUN_256_DIGESTS))
+    def test_run_digest_at_256(self, tmp_path, capsys, monkeypatch, variant):
+        monkeypatch.chdir(tmp_path)
+        cfg = ModelConfig.default(variant)
+        save_weights(build_model(cfg), "w.bin")
+        write_ppm("img.ppm", np.random.default_rng(0).random((3, 256, 256)))
+        assert cli.main(["run", self._write_cfg(tmp_path, cfg), "w.bin",
+                         "img.ppm"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            RUN_256_DIGESTS[variant]
+
+    def test_one_parser_serves_a_sequence_of_calls(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the parser is built once per process: no option or default of one
+        # call may leak into the next
+        monkeypatch.chdir(tmp_path)
+        cfg_path = self._write_cfg(tmp_path, toy_cfg())
+        save_weights(build_model(toy_cfg()), "w.bin")
+        write_ppm("img.ppm", np.random.default_rng(4).random((3, 64, 64)))
+        run = ["run", cfg_path, "w.bin", "img.ppm"]
+        assert cli.main(run + ["--dump-features", "feats"]) == 0
+        first = capsys.readouterr().out
+        assert first.count("\n") > 10
+        maps = sorted(p.name for p in (tmp_path / "feats").iterdir())
+        assert len(maps) == 6
+        (tmp_path / "feats").rename(tmp_path / "feats-1")
+        assert cli.main(run) == 0
+        assert capsys.readouterr().out == first
+        assert not (tmp_path / "feats").exists()
+        assert cli.main(["params", cfg_path]) == 0
+        assert "total" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", cfg_path])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert cli.main(run) == 0
+        assert capsys.readouterr().out == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["feats-1", "img.ppm", "m.cfg", "w.bin"]
 
     def test_run_missing_file_one_line_error(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, toy_cfg())

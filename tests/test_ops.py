@@ -733,7 +733,9 @@ class TestBitExact:
         # all tap products just within TAP_BATCH_BYTES, then just over it
         (4, 16, 3, 1, 1, 1, (30, 30)), (4, 16, 3, 1, 1, 1, (31, 31)),
         # the stem's 16 x 64 x 64 output, far over it
-        (3, 16, 3, 1, 1, 1, (64, 64))])
+        (3, 16, 3, 1, 1, 1, (64, 64)),
+        # a 1 x 1 stride-1 kernel's products just within it, then just over
+        (8, 16, 1, 1, 0, 1, (90, 91)), (8, 16, 1, 1, 0, 1, (91, 91))])
     def test_conv2d_matches_per_tap_copies(self, cin, cout, k, stride,
                                            padding, groups, hw):
         rng = np.random.default_rng(cin * cout + k)
@@ -747,6 +749,42 @@ class TestBitExact:
                 want = per_tap_conv2d(inp, weight, bias, stride, padding,
                                       groups)
             assert got.tobytes() == want.tobytes()
+
+    def test_conv2d_per_tap_path_matches_batched(self, monkeypatch):
+        # TAP_BATCH_BYTES at 0 sends every shape down the per-tap path, which
+        # must give the bytes of the batched einsum: random small shapes, a
+        # quarter of them with one output cell, some with +-0, +-inf and NaN
+        # in the map or the weight, some on a transposed map
+        rng = np.random.default_rng(28)
+        cases = []
+        for i in range(400):
+            groups = int(rng.choice([1, 1, 2, 3]))
+            cin = groups * int(rng.integers(1, 4))
+            cout = groups * int(rng.integers(1, 4))
+            k, stride = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            if i % 4 == 0:  # h + 2 padding - k < stride: one output cell
+                padding = int(rng.integers(0, (k - 1) // 2 + 1))
+                h, w = k - 2 * padding + rng.integers(0, stride, 2)
+            else:
+                padding = int(rng.integers(0, 3))
+                h, w = rng.integers(max(1, k - 2 * padding), k + 8, 2)
+            x = rng.standard_normal((cin, h, w))
+            weight = rng.standard_normal((cout, cin // groups, k, k))
+            if i % 3 == 2:
+                x = sprinkled(rng, x, 0.1)
+            if i % 7 == 3:
+                weight = sprinkled(rng, weight, 0.1)
+            if i % 5 == 1:
+                x = x.T.copy().T
+            cases.append((x, weight, rng.standard_normal(cout), stride,
+                          padding, groups))
+        with np.errstate(invalid="ignore"):
+            want = [ops.conv2d(*case) for case in cases]
+            monkeypatch.setattr(ops, "TAP_BATCH_BYTES", 0)
+            got = [ops.conv2d(*case) for case in cases]
+        for i, (g, r) in enumerate(zip(got, want)):
+            assert g.tobytes() == r.tobytes(), (i, cases[i][0].shape,
+                                                cases[i][1].shape, cases[i][3:])
 
     @pytest.mark.parametrize("k,stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
     def test_conv2d_layout_independent(self, k, stride):
@@ -770,7 +808,10 @@ class TestBitExact:
         # im2col buffer left a strided view rounds gw differently
         (4, 6, 3, 1, 0, 1, (3, 8)), (4, 6, 3, 2, 1, 2, (8, 1)),
         (4, 8, 3, 1, 1, 1, (1, 1)), (7, 1, 1, 2, 0, 1, (2, 34)),
-        (28, 4, 1, 2, 0, 4, (2, 24)), (14, 2, 1, 2, 0, 2, (1, 30))])
+        (28, 4, 1, 2, 0, 4, (2, 24)), (14, 2, 1, 2, 0, 2, (1, 30)),
+        # 1 x 1 stride-1 kernels, small and on both sides of TAP_BATCH_BYTES
+        (6, 4, 1, 1, 0, 1, (9, 7)), (8, 16, 1, 1, 0, 1, (90, 91)),
+        (8, 16, 1, 1, 0, 1, (91, 91))])
     def test_conv2d_backward_matches_loop_im2col(self, cin, cout, k, stride,
                                                  padding, groups, hw):
         rng = np.random.default_rng(cin * cout * k + stride + sum(hw))
@@ -778,11 +819,16 @@ class TestBitExact:
         weight = rng.standard_normal((cout, cin // groups, k, k))
         gy = rng.standard_normal(
             (cout, *ops.conv2d_out_hw(*hw, k, k, stride, padding)))
-        got = ops.conv2d_backward(x, weight, gy, stride, padding, groups)
-        want = loop_im2col_conv2d_backward(x, weight, gy, stride, padding,
-                                           groups)
-        for name, g, r in zip(("gx", "gw", "gb"), got, want):
-            assert g.shape == r.shape and g.tobytes() == r.tobytes(), name
+        # then the same values on a transposed map, with a gy sprinkled with
+        # +-0, +-inf and NaN
+        for x, gy in ((x, gy), (x.T.copy().T, sprinkled(rng, gy, 0.05))):
+            with np.errstate(invalid="ignore"):
+                got = ops.conv2d_backward(x, weight, gy, stride, padding,
+                                          groups)
+                want = loop_im2col_conv2d_backward(x, weight, gy, stride,
+                                                   padding, groups)
+            for name, g, r in zip(("gx", "gw", "gb"), got, want):
+                assert g.shape == r.shape and g.tobytes() == r.tobytes(), name
 
     @pytest.mark.parametrize("k", [3, 5, 9, 13])
     def test_max_pool2d_backward_matches_stacked_windows(self, k):
