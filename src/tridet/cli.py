@@ -4,6 +4,7 @@ the toy training loop, and a weight-file round-trip self-test."""
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -110,6 +111,7 @@ def cmd_weights_selftest(args):
     return 0
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tridet",

@@ -22,6 +22,10 @@ terms: `conv2d` adds its tap products in row-major (u, v) order, the
 sampler its corners in the order (0, 0), (0, 1), (1, 0), (1, 1), and the
 two backward scatters each cell's terms one by one in a fixed order.
 Any other order, or one contraction over all taps, rounds differently.
+An operand's memory layout is free only where a bitwise check shows it
+is: a C-contiguous copy of a tap's window keeps the bytes unless the
+output is one cell, and a 1x1 kernel's one product keeps them only on a
+C-contiguous map.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ def _check_conv_args(x, weight, stride, padding, groups):
         raise ShapeError(f"conv2d stride must be >= 1, got stride={stride}")
     if padding < 0:
         raise ShapeError(f"conv2d padding must be >= 0, got padding={padding}")
+    if groups < 1:
+        raise ShapeError(f"conv2d groups must be >= 1, got groups={groups}")
     cin, h, w = x.shape
     cout, cin_g, kh, kw = weight.shape
     if cin % groups or cout % groups:
@@ -103,6 +109,11 @@ def _windows(xp, kh, kw, stride, ho, wo, groups):
 TAP_BATCH_BYTES = 1 << 20  # at most this many bytes of products in one einsum
 
 
+def _is_pointwise(kh, kw, stride, padding, groups):
+    return kh == kw == stride == groups == 1 and padding == 0
+
+
+
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     """Standard 2-D cross-correlation.
 
@@ -111,7 +122,13 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     Each tap's product, one window against the weight's [u, v] slice, is
     added into zeros in row-major (u, v) order, the order the `run` digests
     pin.  While all products fit in TAP_BATCH_BYTES one einsum computes
-    them, otherwise one einsum per tap does; the two round the same.
+    them, otherwise one einsum per tap does, on a C-contiguous copy of the
+    tap's window when it holds several channels per group; all of these
+    round the same.  With one output cell the copy is skipped: there einsum
+    sums the channels in its inner loop, and a copied window rounds
+    differently.  A 1x1 stride-1 kernel over all channels is one product
+    of the [Cin, H, W] map, C-contiguous like the windows' (a transposed
+    map rounds differently), with the [Cout, Cin] weight.
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
@@ -119,16 +136,26 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
         x, weight, stride, padding, groups)
     cg = cin // groups
     og = cout // groups
-    win = _windows(_pad(x, padding), kh, kw, stride, ho, wo, groups)
-    # [kH, kW, groups, og, cg], so that wt[u, v] is a view
-    wt = weight.reshape(groups, og, cg, kh, kw).transpose(3, 4, 0, 1, 2)
-    if kh * kw * cout * ho * wo * 8 <= TAP_BATCH_BYTES:
-        # a strided weight here makes einsum several times slower
-        taps = np.einsum("uvgchw,uvgoc->uvgohw", win, np.ascontiguousarray(wt))
-        taps = taps.reshape(kh * kw, groups, og, ho, wo)
+    if _is_pointwise(kh, kw, stride, padding, groups):
+        taps = [np.einsum("chw,oc->ohw", np.ascontiguousarray(x),
+                          weight.reshape(cout, cin))]
     else:
-        taps = (np.einsum("gchw,goc->gohw", win[u, v], wt[u, v])
-                for u in range(kh) for v in range(kw))
+        win = _windows(_pad(x, padding), kh, kw, stride, ho, wo, groups)
+        # [kH, kW, groups, og, cg], so that wt[u, v] is a view
+        wt = weight.reshape(groups, og, cg, kh, kw).transpose(3, 4, 0, 1, 2)
+        if kh * kw * cout * ho * wo * 8 <= TAP_BATCH_BYTES:
+            # a strided weight here makes einsum several times slower
+            taps = np.einsum("uvgchw,uvgoc->uvgohw", win,
+                             np.ascontiguousarray(wt))
+            taps = taps.reshape(kh * kw, groups, og, ho, wo)
+        else:
+            # a C-contiguous copy of the window halves a channel sum's time
+            # at large maps; there is no sum with one channel per group,
+            # where the copies only churned the heap (nano's stem at 256x256
+            # took 2x as long)
+            copy = np.ascontiguousarray if cg > 1 and ho * wo > 1 else np.asarray
+            taps = (np.einsum("gchw,goc->gohw", copy(win[u, v]), wt[u, v])
+                    for u in range(kh) for v in range(kw))
     out = np.zeros((groups, og, ho, wo))
     for tap in taps:
         out += tap
@@ -149,7 +176,10 @@ def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
     (c, u, v) within each group, line up with weight.reshape(groups, og,
     cg*kH*kW), so gw = gy @ cols^T and gcols = W^T @ gy are one batched
     matmul over groups each.  col2im then adds gcols back through the same
-    windows, one tap at a time in row-major (u, v) order.
+    windows, one tap at a time in row-major (u, v) order.  For a 1x1
+    stride-1 kernel over all channels cols is the map itself, so the two
+    products run on the [C, H*W] views, with the same operand layouts, and
+    gx is W^T @ gy added into zeros as col2im adds it (-0 reads +0).
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
@@ -158,6 +188,12 @@ def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
         x, weight, stride, padding, groups)
     if gy.shape != (cout, ho, wo):
         raise ShapeError(f"gy shape {gy.shape} != {(cout, ho, wo)}")
+    if _is_pointwise(kh, kw, stride, padding, groups):
+        gyr = gy.reshape(cout, h * w)
+        gw = gyr @ np.ascontiguousarray(x).reshape(cin, h * w).T
+        gx = np.zeros((cin, h, w))
+        gx += (weight.reshape(cout, cin).T @ gyr).reshape(cin, h, w)
+        return gx, gw.reshape(weight.shape), gy.sum(axis=(1, 2))
     xp = _pad(x, padding)
     cg = cin // groups
     og = cout // groups

@@ -146,6 +146,21 @@ def test_bad_stride_or_padding_rejected_by_name(kernel, arg, value):
         call()
 
 
+@pytest.mark.parametrize("kernel", ["conv2d", "conv2d_backward"])
+@pytest.mark.parametrize("groups", [0, -1])
+def test_bad_groups_rejected_by_name(kernel, groups):
+    # before the check, 0 divided by zero and -1 asked for -2 input channels
+    x = np.zeros((2, 5, 5))
+    w = np.zeros((2, 2, 3, 3))
+    call = {
+        "conv2d": lambda: ops.conv2d(x, w, None, 1, 1, groups),
+        "conv2d_backward": lambda: ops.conv2d_backward(
+            x, w, np.zeros((2, 5, 5)), 1, 1, groups),
+    }[kernel]
+    with pytest.raises(ops.ShapeError, match=f"groups must be >= 1, got groups={groups}"):
+        call()
+
+
 @pytest.mark.parametrize("kernel", ["conv2d", "conv2d_backward", "max_pool2d"])
 def test_batched_input_rejected_naming_rank(kernel):
     x = np.zeros((1, 3, 5, 5))
