@@ -113,7 +113,6 @@ def _is_pointwise(kh, kw, stride, padding, groups):
     return kh == kw == stride == groups == 1 and padding == 0
 
 
-
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     """Standard 2-D cross-correlation.
 
@@ -126,9 +125,9 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     tap's window when it holds several channels per group; all of these
     round the same.  With one output cell the copy is skipped: there einsum
     sums the channels in its inner loop, and a copied window rounds
-    differently.  A 1x1 stride-1 kernel over all channels is one product
-    of the [Cin, H, W] map, C-contiguous like the windows' (a transposed
-    map rounds differently), with the [Cout, Cin] weight.
+    differently.  An unpadded 1x1 stride-1 kernel over all channels is one
+    product of the [Cin, H, W] map, C-contiguous like the windows' (a
+    transposed map rounds differently), with the [Cout, Cin] weight.
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
@@ -150,9 +149,9 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
             taps = taps.reshape(kh * kw, groups, og, ho, wo)
         else:
             # a C-contiguous copy of the window halves a channel sum's time
-            # at large maps; there is no sum with one channel per group,
-            # where the copies only churned the heap (nano's stem at 256x256
-            # took 2x as long)
+            # at large maps; with one channel per group there is no sum, and
+            # the copies only churned the heap (nano's stem at 256x256 took
+            # 2x as long)
             copy = np.ascontiguousarray if cg > 1 and ho * wo > 1 else np.asarray
             taps = (np.einsum("gchw,goc->gohw", copy(win[u, v]), wt[u, v])
                     for u in range(kh) for v in range(kw))
@@ -176,8 +175,8 @@ def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
     (c, u, v) within each group, line up with weight.reshape(groups, og,
     cg*kH*kW), so gw = gy @ cols^T and gcols = W^T @ gy are one batched
     matmul over groups each.  col2im then adds gcols back through the same
-    windows, one tap at a time in row-major (u, v) order.  For a 1x1
-    stride-1 kernel over all channels cols is the map itself, so the two
+    windows, one tap at a time in row-major (u, v) order.  For an unpadded
+    1x1 stride-1 kernel over all channels cols is the map itself, so the two
     products run on the [C, H*W] views, with the same operand layouts, and
     gx is W^T @ gy added into zeros as col2im adds it (-0 reads +0).
     """

@@ -149,7 +149,6 @@ def test_bad_stride_or_padding_rejected_by_name(kernel, arg, value):
 @pytest.mark.parametrize("kernel", ["conv2d", "conv2d_backward"])
 @pytest.mark.parametrize("groups", [0, -1])
 def test_bad_groups_rejected_by_name(kernel, groups):
-    # before the check, 0 divided by zero and -1 asked for -2 input channels
     x = np.zeros((2, 5, 5))
     w = np.zeros((2, 2, 3, 3))
     call = {
@@ -766,10 +765,11 @@ class TestBitExact:
             assert got.tobytes() == want.tobytes()
 
     def test_conv2d_per_tap_path_matches_batched(self, monkeypatch):
-        # TAP_BATCH_BYTES at 0 sends every shape down the per-tap path, which
-        # must give the bytes of the batched einsum: random small shapes, a
-        # quarter of them with one output cell, some with +-0, +-inf and NaN
-        # in the map or the weight, some on a transposed map
+        # TAP_BATCH_BYTES at 0 sends every shape but the unpadded 1 x 1
+        # stride-1 ones down the per-tap path, which must give the bytes of
+        # the batched einsum: random small shapes, a quarter of them with one
+        # output cell, some with +-0, +-inf and NaN in the map or the weight,
+        # some on a transposed map
         rng = np.random.default_rng(28)
         cases = []
         for i in range(400):
