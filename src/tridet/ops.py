@@ -24,8 +24,7 @@ two backward scatters each cell's terms one by one in a fixed order.
 Any other order, or one contraction over all taps, rounds differently.
 An operand's memory layout is free only where a bitwise check shows it
 is: a C-contiguous copy of a tap's window keeps the bytes unless the
-output is one cell, and a 1x1 kernel's one product keeps them only on a
-C-contiguous map.
+output is one cell.
 """
 
 from __future__ import annotations
@@ -109,10 +108,6 @@ def _windows(xp, kh, kw, stride, ho, wo, groups):
 TAP_BATCH_BYTES = 1 << 20  # at most this many bytes of products in one einsum
 
 
-def _is_pointwise(kh, kw, stride, padding, groups):
-    return kh == kw == stride == groups == 1 and padding == 0
-
-
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     """Standard 2-D cross-correlation.
 
@@ -125,9 +120,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     tap's window when it holds several channels per group; all of these
     round the same.  With one output cell the copy is skipped: there einsum
     sums the channels in its inner loop, and a copied window rounds
-    differently.  An unpadded 1x1 stride-1 kernel over all channels is one
-    product of the [Cin, H, W] map, C-contiguous like the windows' (a
-    transposed map rounds differently), with the [Cout, Cin] weight.
+    differently.
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
@@ -135,26 +128,21 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
         x, weight, stride, padding, groups)
     cg = cin // groups
     og = cout // groups
-    if _is_pointwise(kh, kw, stride, padding, groups):
-        taps = [np.einsum("chw,oc->ohw", np.ascontiguousarray(x),
-                          weight.reshape(cout, cin))]
+    win = _windows(_pad(x, padding), kh, kw, stride, ho, wo, groups)
+    # [kH, kW, groups, og, cg], so that wt[u, v] is a view
+    wt = weight.reshape(groups, og, cg, kh, kw).transpose(3, 4, 0, 1, 2)
+    if kh * kw * cout * ho * wo * 8 <= TAP_BATCH_BYTES:
+        # a strided weight here makes einsum several times slower
+        taps = np.einsum("uvgchw,uvgoc->uvgohw", win, np.ascontiguousarray(wt))
+        taps = taps.reshape(kh * kw, groups, og, ho, wo)
     else:
-        win = _windows(_pad(x, padding), kh, kw, stride, ho, wo, groups)
-        # [kH, kW, groups, og, cg], so that wt[u, v] is a view
-        wt = weight.reshape(groups, og, cg, kh, kw).transpose(3, 4, 0, 1, 2)
-        if kh * kw * cout * ho * wo * 8 <= TAP_BATCH_BYTES:
-            # a strided weight here makes einsum several times slower
-            taps = np.einsum("uvgchw,uvgoc->uvgohw", win,
-                             np.ascontiguousarray(wt))
-            taps = taps.reshape(kh * kw, groups, og, ho, wo)
-        else:
-            # a C-contiguous copy of the window halves a channel sum's time
-            # at large maps; with one channel per group there is no sum, and
-            # the copies only churned the heap (nano's stem at 256x256 took
-            # 2x as long)
-            copy = np.ascontiguousarray if cg > 1 and ho * wo > 1 else np.asarray
-            taps = (np.einsum("gchw,goc->gohw", copy(win[u, v]), wt[u, v])
-                    for u in range(kh) for v in range(kw))
+        # a C-contiguous copy of the window halves a channel sum's time
+        # at large maps; with one channel per group there is no sum, and
+        # the copy is only one more pass over the window (nano's stem at
+        # 256x256 took 1.15x as long)
+        copy = np.ascontiguousarray if cg > 1 and ho * wo > 1 else np.asarray
+        taps = (np.einsum("gchw,goc->gohw", copy(win[u, v]), wt[u, v])
+                for u in range(kh) for v in range(kw))
     out = np.zeros((groups, og, ho, wo))
     for tap in taps:
         out += tap
@@ -179,10 +167,7 @@ def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
     (c, u, v) within each group, line up with weight.reshape(groups, og,
     cg*kH*kW), so gw = gy @ cols^T and gcols = W^T @ gy are one batched
     matmul over groups each.  col2im then adds gcols back through the same
-    windows, one tap at a time in row-major (u, v) order.  For an unpadded
-    1x1 stride-1 kernel over all channels cols is the map itself, so the two
-    products run on the [C, H*W] views, with the same operand layouts, and
-    gx is W^T @ gy added into zeros as col2im adds it (-0 reads +0).
+    windows, one tap at a time in row-major (u, v) order.
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
@@ -191,12 +176,6 @@ def conv2d_backward(x, weight, gy, stride=1, padding=0, groups=1):
         x, weight, stride, padding, groups)
     if gy.shape != (cout, ho, wo):
         raise ShapeError(f"gy shape {gy.shape} != {(cout, ho, wo)}")
-    if _is_pointwise(kh, kw, stride, padding, groups):
-        gyr = gy.reshape(cout, h * w)
-        gw = gyr @ np.ascontiguousarray(x).reshape(cin, h * w).T
-        gx = np.zeros((cin, h, w))
-        gx += (weight.reshape(cout, cin).T @ gyr).reshape(cin, h, w)
-        return gx, gw.reshape(weight.shape), gy.sum(axis=(1, 2))
     xp = _pad(x, padding)
     cg = cin // groups
     og = cout // groups

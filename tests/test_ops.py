@@ -765,11 +765,10 @@ class TestBitExact:
             assert got.tobytes() == want.tobytes()
 
     def test_conv2d_per_tap_path_matches_batched(self, monkeypatch):
-        # TAP_BATCH_BYTES at 0 sends every shape but the unpadded 1 x 1
-        # stride-1 ones down the per-tap path, which must give the bytes of
-        # the batched einsum: random small shapes, a quarter of them with one
-        # output cell, some with +-0, +-inf and NaN in the map or the weight,
-        # some on a transposed map
+        # TAP_BATCH_BYTES at 0 sends every shape down the per-tap path,
+        # which must give the bytes of the batched einsum: random small
+        # shapes, a quarter of them with one output cell, some with +-0,
+        # +-inf and NaN in the map or the weight, some on a transposed map
         rng = np.random.default_rng(28)
         cases = []
         for i in range(400):
