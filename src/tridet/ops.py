@@ -139,7 +139,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
         # a C-contiguous copy of the window halves a channel sum's time
         # at large maps; with one channel per group there is no sum, and
         # the copy is only one more pass over the window (nano's stem at
-        # 256x256 took 1.15x as long)
+        # 256x256 took 1.15-1.2x as long)
         copy = np.ascontiguousarray if cg > 1 and ho * wo > 1 else np.asarray
         taps = (np.einsum("gchw,goc->gohw", copy(win[u, v]), wt[u, v])
                 for u in range(kh) for v in range(kw))
