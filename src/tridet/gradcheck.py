@@ -243,23 +243,20 @@ def check_dynamic_block(rng):
 
 
 def check_tda_head(rng):
-    head = init_params(TDAHead(4, 2, 2, 1, reduction=2),
-                       np.random.default_rng(rng.integers(1 << 31)))
-    for blk in head.blocks:
-        blk.spatial.offset_pred.bias.value = rng.uniform(0.2, 0.4, 18)
-        blk.task.fc2.weight.value = rng.uniform(-0.3, 0.3,
-                                                blk.task.fc2.weight.value.shape)
-    x = rng.standard_normal((4, 3, 3))
-    # Nine parameters, about one per sublayer kind; dynamic_block checks
-    # every block parameter.  Walking all of the head's parameters would add
-    # about 80% to the suite's most expensive check, and block 1's
-    # fc2.bias would then need the DY-ReLU redraw that dynamic_block does.
-    b0, b1 = head.blocks
-    params = [b0.scale.weight, b0.spatial.offset_pred.weight,
-              b0.spatial.mod_pred.weight, b0.spatial.tap_weights,
-              b1.task.fc1.weight, b1.task.fc2.weight,
-              head.conv3.weight, head.conv1.weight, head.conv1.bias]
-    return _check_layer(rng, head, (x,), params)
+    """Every parameter of a one-block head, then the input gradient of a
+    two-block head, which runs back through both blocks."""
+    errs = []
+    for num_blocks in (1, 2):
+        head = init_params(TDAHead(4, num_blocks, 2, 1, reduction=2),
+                           np.random.default_rng(rng.integers(1 << 31)))
+        for blk in head.blocks:
+            blk.spatial.offset_pred.bias.value = rng.uniform(0.2, 0.4, 18)
+            blk.task.fc2.weight.value = rng.uniform(
+                -0.3, 0.3, blk.task.fc2.weight.value.shape)
+        x = rng.standard_normal((4, 3, 3))
+        errs.append(_check_layer(rng, head, (x,)) if num_blocks == 1 else
+                    _check(rng, head.forward, head.backward, (x,)))
+    return _worst(errs)
 
 
 # ---------------------------------------------------------------------------

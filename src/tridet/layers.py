@@ -35,19 +35,15 @@ class Layer:
     def named_modules(self, prefix=""):
         """This layer as `prefix`, then each child under its dotted path
         (`heads.0.blocks.1.spatial`), depth first in attribute order."""
-        stack = [(prefix, self)]
-        while stack:
-            path, module = stack.pop()
-            yield path, module
-            dot = path + "." if path else ""
-            # pushed last to first, so that the first child is popped first
-            for name, value in reversed(vars(module).items()):
-                if isinstance(value, Layer):
-                    stack.append((dot + name, value))
-                elif isinstance(value, list) and value \
-                        and all(isinstance(v, Layer) for v in value):
-                    stack += [(f"{dot}{name}.{i}", value[i])
-                              for i in reversed(range(len(value)))]
+        yield prefix, self
+        dot = prefix + "." if prefix else ""
+        for name, value in vars(self).items():
+            if isinstance(value, Layer):
+                yield from value.named_modules(dot + name)
+            elif isinstance(value, list) and value \
+                    and all(isinstance(v, Layer) for v in value):
+                for i, v in enumerate(value):
+                    yield from v.named_modules(f"{dot}{name}.{i}")
 
     def named_params(self):
         for path, module in self.named_modules():

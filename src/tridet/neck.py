@@ -173,18 +173,13 @@ class Neck(Layer):
         self.ca3 = CoordAttention(w3, ca_ratio)
         self.ca4 = CoordAttention(w4, ca_ratio)
         self.ca5 = CoordAttention(w5, ca_ratio)
-        if csp_enabled:
-            self.spp_block = CspSppBlock(w5, h5, depthwise=depthwise)
-            self.fuse4 = CSPLayer(2 * h4, h4, depthwise=depthwise)
-            self.fuse3 = CSPLayer(2 * h3, h3, depthwise=depthwise)
-            self.fuse4b = CSPLayer(2 * h4, h4, depthwise=depthwise)
-            self.fuse5b = CSPLayer(2 * h5, h5, depthwise=depthwise)
-        else:
-            self.spp_block = SppBlock(w5, h5, depthwise=depthwise)
-            self.fuse4 = ThreeConvBlock(2 * h4, h4, depthwise=depthwise)
-            self.fuse3 = ThreeConvBlock(2 * h3, h3, depthwise=depthwise)
-            self.fuse4b = ThreeConvBlock(2 * h4, h4, depthwise=depthwise)
-            self.fuse5b = ThreeConvBlock(2 * h5, h5, depthwise=depthwise)
+        spp, fuse = ((CspSppBlock, CSPLayer) if csp_enabled
+                     else (SppBlock, ThreeConvBlock))
+        self.spp_block = spp(w5, h5, depthwise=depthwise)
+        self.fuse4 = fuse(2 * h4, h4, depthwise=depthwise)
+        self.fuse3 = fuse(2 * h3, h3, depthwise=depthwise)
+        self.fuse4b = fuse(2 * h4, h4, depthwise=depthwise)
+        self.fuse5b = fuse(2 * h5, h5, depthwise=depthwise)
         self.reduce5 = conv_block(h5, h4, 1)
         self.reduce4 = conv_block(h4, h3, 1)
         self.lat4 = conv_block(w4, h4, 1)

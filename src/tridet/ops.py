@@ -118,8 +118,9 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     pin.  While all products fit in TAP_BATCH_BYTES one einsum computes
     them, otherwise one einsum per tap does, on a C-contiguous copy of the
     tap's window when it holds several channels per group; all of these
-    round the same.  With one output cell the copy is skipped: there einsum
-    sums the channels in its inner loop, and a copied window rounds
+    round the same, but a NaN output's sign can differ between the batched
+    and the per-tap path.  With one output cell the copy is skipped: there
+    einsum sums the channels in its inner loop, and a copied window rounds
     differently.
     """
     x = _as_f64(x)

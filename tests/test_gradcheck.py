@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tridet import gradcheck, ops
-from tridet.attention import ScaleAttention
+from tridet.attention import ScaleAttention, TDAHead
 from tridet.layers import Param
 from tridet.postproc import diou_planes
 
@@ -44,6 +44,27 @@ class TestCheckFlagsWrongGradients:
             # the default parameter list must reach `weight`
             err = gradcheck._check_layer(rng, layer, (x,))
             assert (err > gradcheck.TOL_ELEMENTWISE) == flagged, cls.__name__
+
+    @pytest.mark.parametrize("path", [
+        "conv3.bias", "blocks.0.scale.bias", "blocks.0.spatial.mod_pred.bias",
+        "blocks.0.task.fc2.bias"])
+    def test_every_parameter_of_the_tda_head(self, monkeypatch, path):
+        class WrongGrad(TDAHead):
+            def backward(self, graw):
+                gx = super().backward(graw)
+                dict(self.named_params())[path].grad *= 1.01
+                return gx
+
+        monkeypatch.setattr(gradcheck, "TDAHead", WrongGrad)
+        err = gradcheck.check_tda_head(np.random.default_rng(0))
+        assert err > gradcheck.TOL_COMPOSED
+
+    def test_tda_head_at_a_seed_near_the_leaky_relu_kink(self):
+        # a two-block head drawn first from this seed has one conv3 output
+        # 1.3e-7 from the leaky-ReLU kink, where a walk of its conv3.weight
+        # fails
+        err = gradcheck.check_tda_head(np.random.default_rng(74))
+        assert err < gradcheck.TOL_COMPOSED
 
 
 class TestNanErrorsFail:
