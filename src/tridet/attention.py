@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .layers import Conv2d, Layer, LeakyReLU, Linear, Param
+from .layers import Conv2d, Layer, LeakyReLU, Linear, Param, Sequential
 
 STENCIL_K = 9
 # 3x3 base stencil displacements (dy, dx), row-major, center at index 4
@@ -196,7 +196,7 @@ class DynamicBlock(Layer):
         return self.scale.backward(*self.spatial.backward(self.task.backward(gout)))
 
 
-class TDAHead(Layer):
+class TDAHead(Sequential):
     """Dynamic blocks -> 3x3 conv + leaky ReLU -> 1x1 conv emitting
     A * (5 + num_classes) raw prediction channels."""
 
@@ -206,7 +206,7 @@ class TDAHead(Layer):
             raise ValueError(f"n_blocks must be 1 or 2, got {n_blocks}")
         self.blocks = [DynamicBlock(channels, reduction, lambda_a, lambda_b,
                                     depthwise) for _ in range(n_blocks)]
-        self.out_channels = anchors_per_level * (5 + num_classes)
+        out_channels = anchors_per_level * (5 + num_classes)
         if depthwise:
             self.conv3 = Conv2d(channels, channels, 3, groups=channels)
             self.conv3_pw = Conv2d(channels, channels, 1)
@@ -214,26 +214,15 @@ class TDAHead(Layer):
             self.conv3 = Conv2d(channels, channels, 3)
             self.conv3_pw = None
         self.act = LeakyReLU()
-        self.conv1 = Conv2d(channels, self.out_channels, 1)
+        self.conv1 = Conv2d(channels, out_channels, 1)
+
+    @property
+    def stages(self):
+        return [s for s in (*self.blocks, self.conv3, self.conv3_pw,
+                            self.act, self.conv1) if s is not None]
 
     def forward(self, x):
         y = np.asarray(x, dtype=np.float64)
         if y.ndim != 3:
             raise ops.ShapeError(f"head expects a C x H x W map, got rank {y.ndim}")
-        for blk in self.blocks:
-            y = blk.forward(y)
-        y = self.conv3.forward(y)
-        if self.conv3_pw is not None:
-            y = self.conv3_pw.forward(y)
-        y = self.act.forward(y)
-        return self.conv1.forward(y)
-
-    def backward(self, graw):
-        g = self.conv1.backward(graw)
-        g = self.act.backward(g)
-        if self.conv3_pw is not None:
-            g = self.conv3_pw.backward(g)
-        g = self.conv3.backward(g)
-        for blk in reversed(self.blocks):
-            g = blk.backward(g)
-        return g
+        return super().forward(y)

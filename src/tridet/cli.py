@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from . import gradcheck as gc
 from .config import ModelConfig, load_config
-from .model import build_model, load_weights, save_weights
+from .model import Model, build_model, load_weights, save_weights
 from .neck import count_params
 from .postproc import format_detection
 from .ppm import read_ppm, write_pgm
@@ -63,15 +63,14 @@ def cmd_gradcheck(args):
 
 def cmd_params(args):
     cfg = _load_cfg(args.config)
-    model = build_model(cfg)
-    table, total = count_params(model)
+    table, total = count_params(Model(cfg))
     width = max(len(n) for n in table)
     for name, n in table.items():
         print(f"{name:<{width}}  {n}")
     print(f"{'total':<{width}}  {total}")
     if args.compare_csp:
         plain, csp = (
-            count_params(build_model(replace(cfg, csp_enabled=flag)))[0]["neck"]
+            count_params(Model(replace(cfg, csp_enabled=flag)))[0]["neck"]
             for flag in (False, True))
         print(f"neck-plain {plain}")
         print(f"neck-csp {csp}")

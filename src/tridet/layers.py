@@ -2,9 +2,9 @@
 BatchNorm2d do their own arithmetic.
 
 Each layer caches its forward inputs and accumulates parameter gradients
-in backward(), torch-style but without any graph: composite modules wire
-their own backward passes by hand.  A layer's Param attributes are its
-parameters and its Layer attributes its children: one pre-order walk of
+in backward(), torch-style but without any graph: chains are Sequentials,
+other composites wire their backward by hand.  A layer's Param attributes
+are its parameters and its Layer attributes its children: one pre-order walk of
 those attributes, Layer.named_modules(), gives every layer its dotted
 path, and everything that counts, checkpoints or steps parameters uses it.
 Construction draws no random numbers, Model's included: weights start at
@@ -163,6 +163,9 @@ class UpsampleNearest2x(Layer):
 
 
 class Sequential(Layer):
+    """Runs `stages` in order, backward in reverse.  A subclass names its
+    children as attributes and lists them in a read-only `stages` property."""
+
     def __init__(self, *stages):
         self.stages = list(stages)
 

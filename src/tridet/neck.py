@@ -70,7 +70,7 @@ class SPP(Layer):
         return gx
 
 
-class SppBlock(Layer):
+class SppBlock(Sequential):
     """The plain five-conv arrangement around SPP: three convs in, SPP,
     two convs out."""
 
@@ -86,11 +86,9 @@ class SppBlock(Layer):
             conv_block(2 * mid, mid, 1),
         )
 
-    def forward(self, x):
-        return self.post.forward(self.spp.forward(self.pre.forward(x)))
-
-    def backward(self, gy):
-        return self.pre.backward(self.spp.backward(self.post.backward(gy)))
+    @property
+    def stages(self):
+        return (self.pre, self.spp, self.post)
 
 
 class CspSppBlock(Layer):
@@ -118,7 +116,7 @@ class CspSppBlock(Layer):
         return gx + gb
 
 
-class ThreeConvBlock(Layer):
+class ThreeConvBlock(Sequential):
     """1x1 / 3x3 / 1x1 fusion stack mapping cin channels to cout."""
 
     def __init__(self, cin, cout, *, depthwise=False):
@@ -128,11 +126,9 @@ class ThreeConvBlock(Layer):
             conv_block(2 * cout, cout, 1),
         )
 
-    def forward(self, x):
-        return self.body.forward(x)
-
-    def backward(self, gy):
-        return self.body.backward(gy)
+    @property
+    def stages(self):
+        return (self.body,)
 
 
 class CSPLayer(Layer):

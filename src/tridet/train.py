@@ -16,10 +16,10 @@ class DivergenceError(RuntimeError):
     pass
 
 
-def synthetic_scene(size=64):
-    """Mid-gray canvas with colored rectangles at known positions, labeled
-    with rows `cx, cy, w, h, class_id, weight`."""
-    pixels = np.full((3, size, size), 0.5)
+def synthetic_scene():
+    """64x64 mid-gray canvas with colored rectangles at known positions,
+    labeled with rows `cx, cy, w, h, class_id, weight`."""
+    pixels = np.full((3, 64, 64), 0.5)
     boxes = []
 
     def put(cx, cy, w, h, color, cid):
@@ -34,17 +34,15 @@ def synthetic_scene(size=64):
     return LabeledImage(pixels, np.array(boxes))
 
 
-def training_sample(cfg: ModelConfig, seed, size=64):
+def training_sample(cfg: ModelConfig, seed):
     """The fixed augmented scene the smoke test trains on."""
     rng = rng_from_seed(seed)
-    scene = synthetic_scene(size)
+    scene = synthetic_scene()
     if cfg.variant == "nano":
         lam = float(rng.uniform(0.3, 0.7))
-        sample = mixup(scene, synthetic_scene(size), lam)
-    else:
-        sample = mosaic([scene] * 4, size, rng,
-                        cfg.mosaic_scale_range, cfg.mosaic_shift_limit)
-    return sample
+        return mixup(scene, synthetic_scene(), lam)
+    return mosaic([scene] * 4, scene.pixels.shape[-1], rng,
+                  cfg.mosaic_scale_range, cfg.mosaic_shift_limit)
 
 
 def train_toy(model: Model, cfg: ModelConfig, steps, seed, lr=0.01,

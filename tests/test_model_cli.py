@@ -525,6 +525,19 @@ class TestCli:
         assert values["neck-plain"] - values["neck-csp"] == \
             values["csp-reduction"]
 
+    def test_params_draws_no_weights(self, tmp_path, capsys, monkeypatch):
+        # the counts read only sizes, so no model needs its weights drawn
+        cfg_path = self._write_cfg(tmp_path, toy_cfg())
+        assert cli.main(["params", cfg_path, "--compare-csp"]) == 0
+        drawn = capsys.readouterr()
+
+        def refuse(cfg):
+            raise AssertionError("params drew a model's weights")
+
+        monkeypatch.setattr(cli, "build_model", refuse)
+        assert cli.main(["params", cfg_path, "--compare-csp"]) == 0
+        assert capsys.readouterr() == drawn
+
     def test_params_tiny_below_full(self, tmp_path, capsys):
         totals = []
         for variant in ("tiny", "full"):
